@@ -14,9 +14,14 @@
 // blind-spotted the other way: normalization cannot see a regression
 // that slows every guarded benchmark uniformly.
 //
+// With -benchmem output the snapshot also records each benchmark's
+// allocs/op (the maximum across repetitions), and the gate fails when a
+// benchmark whose baseline allocs/op is 0 allocates: a zero-alloc hot
+// path is a contract, not a speed, so it is checked exactly.
+//
 // Usage:
 //
-//	go test -run '^$' -bench 'X|Y' -benchtime 100x -count 3 . | tee bench.txt
+//	go test -run '^$' -bench 'X|Y' -benchmem -benchtime 100x -count 3 . | tee bench.txt
 //	benchguard -in bench.txt -out BENCH_pr3.json                  # compare vs BENCH_baseline.json
 //	benchguard -in bench.txt -update                              # (re)write the baseline
 //	benchguard -in bench.txt -baseline other.json -threshold 0.5  # custom gate
@@ -49,11 +54,17 @@ type Snapshot struct {
 	// Benchmarks maps the benchmark name (GOMAXPROCS suffix stripped)
 	// to its minimum observed ns/op.
 	Benchmarks map[string]float64 `json:"benchmarks"`
+	// Allocs maps the benchmark name to its maximum observed allocs/op
+	// (present only for runs with -benchmem).
+	Allocs map[string]float64 `json:"allocs,omitempty"`
 }
 
 // benchLine matches one `go test -bench` result line, e.g.
 // "BenchmarkXMLParse-8   	     100	    123456 ns/op	..."
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+
+// allocsField matches the -benchmem allocs/op field of a result line.
+var allocsField = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -141,6 +152,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	regressions := 0
+	for _, name := range sortedNames(base.Allocs) {
+		if base.Allocs[name] != 0 {
+			continue
+		}
+		if allocs, ok := cur.Allocs[name]; !ok {
+			fmt.Fprintf(stdout, "  skip  %-40s zero-alloc check (no allocs/op in this run; use -benchmem)\n", name)
+		} else if allocs > 0 {
+			fmt.Fprintf(stdout, "  ALLOCATES %-40s base 0 allocs/op  now %g allocs/op\n", name, allocs)
+			regressions++
+		}
+	}
 	for _, name := range sortedNames(base.Benchmarks) {
 		baseNs := base.Benchmarks[name]
 		curNs, ok := cur.Benchmarks[name]
@@ -163,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if regressions > 0 {
-		fmt.Fprintf(stderr, "benchguard: %d benchmark(s) regressed more than %.0f%% vs %s\n",
+		fmt.Fprintf(stderr, "benchguard: %d benchmark(s) regressed more than %.0f%% or allocate on a zero-alloc baseline vs %s\n",
 			regressions, *threshold*100, *baseline)
 		return 1
 	}
@@ -184,14 +206,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parseBench extracts min-ns/op per benchmark from `go test -bench`
-// output (multiple -count repetitions collapse to their minimum).
+// parseBench extracts min-ns/op and max-allocs/op per benchmark from
+// `go test -bench` output (multiple -count repetitions collapse).
 func parseBench(r io.Reader) (*Snapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	snap := &Snapshot{Benchmarks: map[string]float64{}}
+	snap := &Snapshot{Benchmarks: map[string]float64{}, Allocs: map[string]float64{}}
 	start := 0
 	for i := 0; i <= len(data); i++ {
 		if i != len(data) && data[i] != '\n' {
@@ -209,6 +231,12 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 		}
 		if old, ok := snap.Benchmarks[m[1]]; !ok || ns < old {
 			snap.Benchmarks[m[1]] = ns
+		}
+		if a := allocsField.FindStringSubmatch(line); a != nil {
+			allocs, err := strconv.ParseFloat(a[1], 64)
+			if old, ok := snap.Allocs[m[1]]; err == nil && (!ok || allocs > old) {
+				snap.Allocs[m[1]] = allocs
+			}
 		}
 	}
 	return snap, nil

@@ -211,3 +211,43 @@ func TestZeroOverlapFailsTheGate(t *testing.T) {
 		t.Errorf("zero overlap not named:\n%s", errb.String())
 	}
 }
+
+func TestAllocsRecordedAsMaxAcrossCounts(t *testing.T) {
+	in := sampleBench + "BenchmarkXMLParse-8           100        50000 ns/op      12000 B/op      151 allocs/op\n"
+	snap, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Allocs["BenchmarkXMLParse"]; got != 151 {
+		t.Errorf("XMLParse allocs = %v, want 151 (max of counts)", got)
+	}
+	if _, ok := snap.Allocs["BenchmarkJoinIndexed"]; ok {
+		t.Error("allocs recorded for a line without -benchmem fields")
+	}
+}
+
+func TestZeroAllocBaselineMustNotAllocate(t *testing.T) {
+	zero := sampleBench + "BenchmarkTelemetryCounter-8  1000000   2.5 ns/op   0 B/op   0 allocs/op\n"
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-in", writeInput(t, dir, zero), "-baseline", base, "-update"}, &out, &errb); code != 0 {
+		t.Fatal("baseline write failed")
+	}
+	// Same speed, one allocation per op: a broken contract, not noise.
+	allocating := strings.Replace(zero, "0 B/op   0 allocs/op", "16 B/op   1 allocs/op", 1)
+	out.Reset()
+	code := run([]string{"-in", writeInput(t, t.TempDir(), allocating), "-baseline", base}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("allocating zero-alloc benchmark passed: exit %d\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "ALLOCATES") || !strings.Contains(out.String(), "BenchmarkTelemetryCounter") {
+		t.Errorf("report does not name the allocating benchmark:\n%s", out.String())
+	}
+	// Without -benchmem the check is skipped, not failed.
+	out.Reset()
+	plain := strings.Replace(zero, "   0 B/op   0 allocs/op", "", 1)
+	if code := run([]string{"-in", writeInput(t, t.TempDir(), plain), "-baseline", base}, &out, &errb); code != 0 {
+		t.Fatalf("run without -benchmem failed the zero-alloc check: exit %d\n%s", code, out.String())
+	}
+}

@@ -204,15 +204,14 @@ func runNetTCP(out io.Writer, cfg netConfig) error {
 	st := tr.Stats()
 	fmt.Fprintf(os.Stderr, "net: %s done (root %s): sent %d msgs/%d B, received %d msgs/%d B, dropped %d, reconnects %d\n",
 		cfg.Name, n.Root(), st.Sent, st.SentBytes, st.Received, st.ReceivedBytes, st.Dropped, st.Reconnects)
-	if n.IsRoot() {
-		for _, line := range n.Results() {
-			fmt.Fprintln(out, line)
-		}
-		// Linger briefly with the handler still live: a source whose
-		// final ack was lost re-sends within its resend period and gets
-		// re-acked, instead of retrying against a closed socket.
-		time.Sleep(500 * time.Millisecond)
+	for _, line := range n.Results() {
+		fmt.Fprintln(out, line)
 	}
+	// Linger briefly with the handler still live: a peer whose final ack
+	// was lost (a source's partial ack, the root's checkpoint ack)
+	// re-sends within its resend period and gets re-acked, instead of
+	// retrying against a closed socket.
+	time.Sleep(500 * time.Millisecond)
 	lingerForScrape(msrv)
 	return nil
 }

@@ -87,28 +87,12 @@ func TestMetricLoopQuarantinesOnWireDrops(t *testing.T) {
 	})
 	adapt.Attach(sys, task, loop)
 
-	// The operator pipeline runs asynchronously; wait for it to go
-	// quiet before the next Step drains results into the loop.
-	settle := func() {
-		last, stable := uint64(0), 0
-		for i := 0; i < 2000 && stable < 3; i++ {
-			cur := task.ItemsProcessed()
-			if cur == last {
-				stable++
-			} else {
-				stable, last = 0, cur
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-
 	// Sustained decode-drop growth attributed to w2 — the counter the
 	// transport layer's wire mirror feeds when a peer ships garbage.
 	dropped := reg.Counter("wire_dropped_total", telemetry.L("backend", "sim"), telemetry.L("peer", "w2"))
 	for i := 0; i < 6; i++ {
 		dropped.Add(6)
 		sys.Step(time.Second)
-		settle()
 	}
 	if q := tun.Quarantined(); len(q) != 1 || q[0] != "w2" {
 		t.Fatalf("quarantined = %v, want [w2] after sustained drop growth (loop events: %v)", q, loop.Events())
@@ -117,7 +101,6 @@ func TestMetricLoopQuarantinesOnWireDrops(t *testing.T) {
 	// Drops stop; after Quiet the rule must release the quarantine.
 	for i := 0; i < 8; i++ {
 		sys.Step(time.Second)
-		settle()
 	}
 	if q := tun.Quarantined(); len(q) != 0 {
 		t.Fatalf("quarantined = %v, want none after quiet (loop events: %v)", q, loop.Events())

@@ -435,3 +435,49 @@ func TestPipelineComposition(t *testing.T) {
 		t.Errorf("got %v", got)
 	}
 }
+
+// TestTrackedDiscardPaths: an item that leaves a tracked queue without
+// being accepted releases its in-flight count, whichever way it leaves.
+func TestTrackedDiscardPaths(t *testing.T) {
+	t.Run("push to a closed queue", func(t *testing.T) {
+		var f stream.Inflight
+		q := stream.NewQueue()
+		q.Track(&f)
+		q.Close()
+		feed(q, `<late/>`)
+		if n := f.Len(); n != 0 {
+			t.Fatalf("count %d after pushes to a closed queue", n)
+		}
+	})
+	t.Run("items behind eos", func(t *testing.T) {
+		var f stream.Inflight
+		q := stream.NewQueue()
+		feed(q, `<a/>`) // a, eos
+		feed(q, `<b/>`) // behind the eos
+		q.Track(&f)
+		got := collect(t, &Union{}, []*stream.Queue{q})
+		feed(q, `<c/>`) // after the reader stopped
+		if labels(got) != "a" {
+			t.Errorf("got %s, want a", labels(got))
+		}
+		if n := f.Len(); n != 0 {
+			t.Fatalf("count %d after the reader stopped at eos", n)
+		}
+	})
+	t.Run("reader torn down by close", func(t *testing.T) {
+		var f stream.Inflight
+		q := stream.NewQueue()
+		q.Track(&f)
+		gate := make(chan struct{})
+		h := Run(&Union{}, []*stream.Queue{q}, func(stream.Item) { <-gate })
+		for i := 0; i < 5; i++ {
+			q.Push(stream.Item{Tree: xmltree.Elem("x")})
+		}
+		q.Close() // the instance is replaced while items are queued
+		close(gate)
+		h.Wait()
+		if n := f.Len(); n != 0 {
+			t.Fatalf("count %d after the torn-down reader finished", n)
+		}
+	})
+}

@@ -108,6 +108,11 @@ type tagged struct {
 // Run starts the processor over the given input queues. The sink receives
 // every output item followed by exactly one eos item when all inputs have
 // terminated. Run returns immediately; use the Handle to wait.
+//
+// Run is the reader of tracked queues (stream.Queue.Track): an item is
+// reported Done once its Accept returned, an input's eos once the Flush
+// and the output eos it triggers have been emitted, so downstream queues
+// always count the outputs before the inputs stop counting.
 func Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
 	h := &Handle{
 		name:     p.Name(),
@@ -116,6 +121,9 @@ func Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
 		consumed: make([]atomic.Uint64, len(inputs)),
 	}
 	merged := make(chan tagged)
+	// atEOS[i] is set when input i stopped at its eos rather than at a
+	// close; read only after every reader exited.
+	atEOS := make([]bool, len(inputs))
 	var wg sync.WaitGroup
 	for i, q := range inputs {
 		wg.Add(1)
@@ -123,7 +131,12 @@ func Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
 			defer wg.Done()
 			for {
 				it, ok := q.Pop()
-				if !ok || it.EOS() {
+				if !ok {
+					return
+				}
+				if it.EOS() {
+					q.End()
+					atEOS[idx] = true
 					return
 				}
 				merged <- tagged{idx: idx, it: it}
@@ -152,12 +165,18 @@ func Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
 				h.in.Add(1)
 				h.SeedConsumed(t.idx, t.it.Seq) // monotonic raise
 				p.Accept(t.idx, t.it, emit)
+				inputs[t.idx].Done()
 			case f := <-h.ctl:
 				f()
 			}
 		}
 		p.Flush(emit)
 		sink(stream.EOSItem(p.Name()))
+		for i, q := range inputs {
+			if atEOS[i] {
+				q.Done()
+			}
+		}
 	}()
 	return h
 }

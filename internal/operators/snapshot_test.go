@@ -252,6 +252,8 @@ func TestGroupSnapshotMidWindowWithLate(t *testing.T) {
 // actually accepted.
 func TestHandleSyncAndConsumed(t *testing.T) {
 	q := stream.NewQueue()
+	var inflight stream.Inflight
+	q.Track(&inflight)
 	var out []stream.Item
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
@@ -267,11 +269,8 @@ func TestHandleSyncAndConsumed(t *testing.T) {
 		it.Seq = uint64(i)
 		q.Push(it)
 	}
-	// Wait (via Sync) until the loop has drained what we pushed.
-	deadline := time.Now().Add(5 * time.Second)
-	for h.ItemsIn() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Wait until the loop has accepted what we pushed.
+	inflight.Wait()
 	var consumed uint64
 	h.Sync(func() { consumed = h.Consumed(0) })
 	if consumed != 3 {

@@ -50,23 +50,6 @@ func aggWorld(t *testing.T, opts Config, sources, workers int) (*System, *Task) 
 	return sys, task
 }
 
-// settleTask waits (bounded) until the task's operators stop consuming —
-// the virtual Step models enough real time for an event to traverse the
-// deployment, so fault injection points see processed state instead of a
-// wall-clock scheduling snapshot.
-func settleTask(task *Task) {
-	last, stable := uint64(0), 0
-	for i := 0; i < 2000 && stable < 3; i++ {
-		cur := task.ItemsProcessed()
-		if cur == last {
-			stable++
-		} else {
-			stable, last = 0, cur
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // driveAgg invokes the sources round-robin, one event per virtual step.
 func driveAgg(t *testing.T, sys *System, sources, events int, step time.Duration) {
 	t.Helper()
@@ -236,7 +219,6 @@ func TestAggTreeInteriorCrashExactlyOnce(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
 		sys.Step(time.Second)
 		switch i {
 		case crashAt:
@@ -294,7 +276,6 @@ func TestAggTreeRebalanceOnJoin(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
 		sys.Step(time.Second)
 		if i == 15 || i == 31 { // join mid-run, mid-window
 			name := fmt.Sprintf("w%d", workers+joined)
@@ -349,7 +330,6 @@ func TestAggTreeRebalanceOnRejoin(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
 		sys.Step(time.Second)
 		switch i {
 		case crashAt:

@@ -98,7 +98,7 @@ func (p *Peer) deploy(task *Task) error {
 			if err != nil {
 				return nil, err
 			}
-			h := operators.Run(proc, queues, operators.ChannelPublish(out))
+			h := p.sys.run(proc, queues, operators.ChannelPublish(out))
 			task.handles = append(task.handles, h)
 			task.procs[n] = &procInstance{proc: proc, handle: h}
 		}
@@ -380,7 +380,7 @@ func (p *Peer) deployAlerter(task *Task, n *algebra.Node, out *stream.Channel) e
 		}
 		target.Repo() // ensure the repository event channel exists
 		sub := p.subscribe(task, target.repoCh, n.Peer)
-		h := operators.Run(&operators.Union{}, []*stream.Queue{sub.Queue}, emit)
+		h := p.sys.run(&operators.Union{}, []*stream.Queue{sub.Queue}, emit)
 		task.handles = append(task.handles, h)
 	default:
 		return fmt.Errorf("peer: unknown alerter kind %q", n.Alerter.Kind)
@@ -403,63 +403,66 @@ func argAttr(n *algebra.Node, elem, attr string) string {
 // source: membership events attach and detach WS alerters on the joined
 // peers, all publishing into the same output channel.
 func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, out *stream.Channel) {
-	dir := alerters.Inbound
+	d := &dynAlerter{p: p, task: task, fn: n.Alerter.Func, dir: alerters.Inbound, out: out, active: make(map[string]*atomic.Bool)}
 	if n.Alerter.Func == "outCOM" {
-		dir = alerters.Outbound
+		d.dir = alerters.Outbound
 	}
-	clock := p.sys.Net.Clock().Now
-	done := make(chan struct{})
-	task.dynDone = append(task.dynDone, done)
-	go func() {
-		defer close(done)
-		type entry struct {
-			active *atomic.Bool
+	task.handles = append(task.handles, p.sys.run(d, []*stream.Queue{driver}, operators.ChannelPublish(out)))
+}
+
+// dynAlerter is the Proc behind runDynAlerter; active maps each
+// monitored peer to the flag that keeps its alerter publishing.
+type dynAlerter struct {
+	p      *Peer
+	task   *Task
+	fn     string
+	dir    alerters.Direction
+	out    *stream.Channel
+	active map[string]*atomic.Bool
+}
+
+func (d *dynAlerter) Name() string { return "DynAlerter" }
+
+func (d *dynAlerter) Accept(_ int, it stream.Item, _ operators.Emit) {
+	peerName := it.Tree.InnerText()
+	switch it.Tree.Label {
+	case "p-join":
+		if d.active[peerName] != nil {
+			return
 		}
-		active := make(map[string]*entry)
-		for {
-			it, ok := driver.Pop()
-			if !ok || it.EOS() {
-				break
-			}
-			switch it.Tree.Label {
-			case "p-join":
-				peerName := it.Tree.InnerText()
-				if _, dup := active[peerName]; dup {
-					continue
+		flag := &atomic.Bool{}
+		flag.Store(true)
+		al := alerters.NewWS(d.fn+"@"+peerName, d.dir, d.p.sys.Config().IncludeEnvelopes, d.p.sys.Net.Clock().Now,
+			func(item stream.Item) {
+				if flag.Load() && !item.EOS() {
+					d.out.Publish(item)
 				}
-				flag := &atomic.Bool{}
-				flag.Store(true)
-				al := alerters.NewWS(n.Alerter.Func+"@"+peerName, dir, p.sys.Config().IncludeEnvelopes, clock,
-					func(item stream.Item) {
-						if flag.Load() && !item.EOS() {
-							out.Publish(item)
-						}
-					})
-				ep := p.sys.Fabric.Endpoint(peerName)
-				if dir == alerters.Inbound {
-					ep.OnInbound(al.Hook())
-				} else {
-					ep.OnOutbound(al.Hook())
-				}
-				active[peerName] = &entry{active: flag}
-			case "p-leave":
-				// "inCOM removes peers from the collection of monitored
-				// peers" (Section 2).
-				if e, ok := active[it.Tree.InnerText()]; ok {
-					e.active.Store(false)
-					delete(active, it.Tree.InnerText())
-				}
-			}
-			task.dynEvents.Add(1)
+			})
+		ep := d.p.sys.Fabric.Endpoint(peerName)
+		if d.dir == alerters.Inbound {
+			ep.OnInbound(al.Hook())
+		} else {
+			ep.OnOutbound(al.Hook())
 		}
-		// Deactivate every attached alerter before closing: the fabric
-		// has no hook-removal API, so the leaked closures must become
-		// no-ops (their flag check short-circuits before any work).
-		for _, e := range active {
-			e.active.Store(false)
+		d.active[peerName] = flag
+	case "p-leave":
+		// "inCOM removes peers from the collection of monitored peers"
+		// (Section 2).
+		if flag := d.active[peerName]; flag != nil {
+			flag.Store(false)
+			delete(d.active, peerName)
 		}
-		out.Close()
-	}()
+	}
+	d.task.dynEvents.Add(1)
+}
+
+// Flush deactivates every attached alerter before the output closes:
+// the fabric has no hook-removal API, so the leaked closures must
+// become no-ops (their flag check short-circuits before any work).
+func (d *dynAlerter) Flush(operators.Emit) {
+	for _, flag := range d.active {
+		flag.Store(false)
+	}
 }
 
 // deployPublisher wires the BY-clause targets: the named result channel,
@@ -530,6 +533,7 @@ func (p *Peer) runPublisher(task *Task, n *algebra.Node, in *stream.Queue, named
 			sub := p.sys.attachResuming(named, tgt.Peer, cur, fromSeq,
 				p.sys.link.DeliverHook(named.Ref().PeerID, tgt.Peer))
 			task.subs = append(task.subs, sub)
+			sub.Queue.Track(&p.sys.inflight)
 			go func() {
 				for {
 					it, ok := sub.Queue.Pop()
@@ -545,6 +549,7 @@ func (p *Peer) runPublisher(task *Task, n *algebra.Node, in *stream.Queue, named
 					default:
 						cur.Offer(it)
 					}
+					sub.Queue.Done()
 				}
 			}()
 		}
@@ -564,7 +569,7 @@ func (p *Peer) runPublisher(task *Task, n *algebra.Node, in *stream.Queue, named
 		}
 	}
 	proc := &operators.Union{}
-	h := operators.Run(proc, []*stream.Queue{in}, fanout)
+	h := p.sys.run(proc, []*stream.Queue{in}, fanout)
 	task.handles = append(task.handles, h)
 	task.procs[n] = &procInstance{proc: proc, handle: h}
 	return nil

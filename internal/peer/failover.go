@@ -710,7 +710,7 @@ func (p *Peer) redeployOperator(t *Task, n *algebra.Node, dead string, at time.D
 			}
 		}
 	}
-	h := operators.Run(proc, queues, operators.ChannelPublish(out))
+	h := s.run(proc, queues, operators.ChannelPublish(out))
 	if ck != nil {
 		// The restored instance has logically consumed everything up to
 		// the checkpoint — a checkpoint sweep racing the replayed suffix

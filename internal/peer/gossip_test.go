@@ -1,8 +1,8 @@
 package peer
 
 import (
-	"strings"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -188,7 +188,7 @@ func TestGossipSupervisorSurvivesHomePartition(t *testing.T) {
 			}
 		}
 		drive(3)
-		waitResults(t, task, 3)
+		wantResults(t, sys, task, 3)
 
 		// The old detector home is cut off from everyone else.
 		sys.Net.Partition([]string{"mon"}, []string{"mgr", "src.com", "c.com", "w1", "w2"})
@@ -219,12 +219,9 @@ func TestGossipSupervisorSurvivesHomePartition(t *testing.T) {
 				out.migratedTo = ev.To
 			}
 		}
-		// Bounded settle: count what arrived without stopping the task
-		// first (a wrecked home-mode system may never deliver).
-		deadline := time.Now().Add(2 * time.Second)
-		for task.Results().Len() < 6 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+		// Count what arrived without stopping the task first (a wrecked
+		// home-mode system may never deliver).
+		sys.Quiesce()
 		out.results = task.Results().Len()
 		task.Stop()
 		return out

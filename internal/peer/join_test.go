@@ -239,7 +239,7 @@ func TestJoinedPeerBecomesFailoverTarget(t *testing.T) {
 		}
 	}
 	drive(3)
-	waitResults(t, task, 3)
+	wantResults(t, sys, task, 3)
 
 	// A fresh worker joins at runtime; then the only original worker
 	// dies. The supervisor must place the relay on the joined peer.
@@ -257,7 +257,7 @@ func TestJoinedPeerBecomesFailoverTarget(t *testing.T) {
 		t.Fatalf("relay migrated to %q, want the runtime-joined w2", got)
 	}
 	drive(3)
-	waitResults(t, task, 6)
+	wantResults(t, sys, task, 6)
 	migrated := false
 	for _, ev := range sup.Events() {
 		if ev.From == "w1" && ev.To == "w2" {

@@ -59,7 +59,6 @@ func TestLeavePeerGracefulHandoff(t *testing.T) {
 			if _, err := client.Endpoint().Invoke("src", "Q", nil); err != nil {
 				t.Fatal(err)
 			}
-			settleTask(task)
 			sys.Step(time.Second)
 		}
 	}

@@ -326,7 +326,10 @@ by publish as channel "watch"`)
 		return xmltree.Elem("pong"), nil
 	}, nil)
 	caller := sys.MustAddPeer("caller")
-	waitFor(t, func() bool { return task.DynEventsProcessed() >= 2 }) // srv1 + caller joins
+	sys.Quiesce()
+	if got := task.DynEventsProcessed(); got != 2 { // srv1 + caller joins
+		t.Fatalf("membership events applied = %d, want 2", got)
+	}
 	if _, err := caller.Endpoint().Invoke("srv1", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +337,10 @@ by publish as channel "watch"`)
 	if err := sys.Ring.Leave("srv1"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return task.DynEventsProcessed() >= 3 })
+	sys.Quiesce()
+	if got := task.DynEventsProcessed(); got != 3 {
+		t.Fatalf("membership events applied = %d, want 3", got)
+	}
 	if _, err := caller.Endpoint().Invoke("srv1", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -350,18 +356,6 @@ by publish as channel "watch"`)
 	if got[0].Tree.AttrOr("callee", "") != "http://srv1" {
 		t.Errorf("item = %s", got[0].Tree)
 	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("condition not reached")
 }
 
 func TestSubscribeErrors(t *testing.T) {

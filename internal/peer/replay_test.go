@@ -65,13 +65,11 @@ func (r *relayRig) emit() {
 }
 
 // syncUntil steps the system (letting anti-entropy sweeps and pending
-// detections run) until the task has settled at least want results.
-func (r *relayRig) syncUntil(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for r.task.Results().Len() < want && time.Now().Before(deadline) {
+// detections run) until the task holds at least want results, at most
+// 60 virtual seconds.
+func (r *relayRig) syncUntil(want int) {
+	for i := 0; i < 60 && r.task.Results().Len() < want; i++ {
 		r.sys.Step(time.Second)
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -188,7 +186,7 @@ func TestExactlyOnceAcrossFaultMixes(t *testing.T) {
 					c.at(r, i)
 				}
 			}
-			r.syncUntil(t, events)
+			r.syncUntil(events)
 			if c.migrates {
 				if got := relayHost(r.task); got != "w2" {
 					t.Errorf("relay host = %q, want w2 after migration", got)
@@ -240,11 +238,8 @@ func TestCheckpointTailSurvivesPartitionedCrash(t *testing.T) {
 	// crash (input replay resumes after them, and the producer's buffer
 	// dies with the host).
 	relayCh, _ := r.sys.Channel(relayRef)
-	deadline := time.Now().Add(5 * time.Second)
-	for relayCh.Seq() < 9 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if relayCh.Seq() < 9 {
+	r.sys.Quiesce()
+	if relayCh.Seq() != 9 {
 		t.Fatalf("relay only published %d/9 before the crash", relayCh.Seq())
 	}
 	r.sys.CheckpointNow()
@@ -256,7 +251,7 @@ func TestCheckpointTailSurvivesPartitionedCrash(t *testing.T) {
 			r.sys.Net.Heal()
 		}
 	}
-	r.syncUntil(t, events)
+	r.syncUntil(events)
 	if len(r.sup.Deaths()) == 0 {
 		t.Fatal("relay crash never detected")
 	}
@@ -292,13 +287,13 @@ func TestColdAdoptionDoesNotDuplicate(t *testing.T) {
 	// Quiesce so the replica has mirrored the full pre-crash output: the
 	// cold restart's re-emission then maximally overlaps what downstream
 	// cursors already saw — the worst case for duplication.
-	waitResults(t, r.task, 7)
+	wantResults(t, r.sys, r.task, 7)
 	r.sys.Net.Crash("w1") //nolint:errcheck // known node
 	for i := 8; i <= events; i++ {
 		r.emit()
 		r.sys.Step(time.Second)
 	}
-	r.syncUntil(t, events)
+	r.syncUntil(events)
 	var adopted FailoverEvent
 	for _, e := range r.sup.Events() {
 		if e.From == "w1" && e.Repaired() {
@@ -351,7 +346,7 @@ func TestCheckpointRestoresDistinctState(t *testing.T) {
 		emit(i)
 		sys.Step(time.Second)
 	}
-	waitResults(t, task, 6)
+	wantResults(t, sys, task, 6)
 	sys.Step(time.Second) // a checkpoint capturing the full Distinct memory
 	sys.Step(time.Second)
 
@@ -371,10 +366,8 @@ func TestCheckpointRestoresDistinctState(t *testing.T) {
 		emit(id)
 		sys.Step(time.Second)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for task.Results().Len() < 8 && time.Now().Before(deadline) {
+	for i := 0; i < 60 && task.Results().Len() < 8; i++ {
 		sys.Step(time.Second)
-		time.Sleep(time.Millisecond)
 	}
 	task.Stop()
 	assertExactlyOnce(t, task, 8)
@@ -440,8 +433,8 @@ func TestPublisherRedeploysOnHostDeath(t *testing.T) {
 		emit(i)
 		sys.Step(time.Second)
 	}
-	waitResults(t, task, 3)
-	waitResults(t, t2, 3)
+	wantResults(t, sys, task, 3)
+	wantResults(t, sys, t2, 3)
 
 	events := sys.FailPeer("pub", 0)
 	repaired := 0
@@ -464,10 +457,8 @@ func TestPublisherRedeploysOnHostDeath(t *testing.T) {
 		emit(i)
 		sys.Step(time.Second)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for (task.Results().Len() < 6 || t2.Results().Len() < 6) && time.Now().Before(deadline) {
+	for i := 0; i < 60 && (task.Results().Len() < 6 || t2.Results().Len() < 6); i++ {
 		sys.Step(time.Second)
-		time.Sleep(time.Millisecond)
 	}
 	task.Stop()
 	t2.Stop()
@@ -564,11 +555,14 @@ func TestDynAlerterManagerRedeploysOnHostDeath(t *testing.T) {
 		return xmltree.Elem("pong"), nil
 	}, nil)
 	caller := sys.MustAddPeer("caller")
-	waitFor(t, func() bool { return task.DynEventsProcessed() >= 2 }) // svc + caller joins
+	sys.Quiesce()
+	if got := task.DynEventsProcessed(); got != 2 { // svc + caller joins
+		t.Fatalf("membership events applied = %d, want 2", got)
+	}
 	if _, err := caller.Endpoint().Invoke("svc", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitResults(t, task, 1)
+	wantResults(t, sys, task, 1)
 
 	before := task.DynEventsProcessed()
 	events := sys.FailPeer("w1", 0)
@@ -595,11 +589,14 @@ func TestDynAlerterManagerRedeploysOnHostDeath(t *testing.T) {
 	}
 	// The replayed membership history (svc join, caller join, w1's own
 	// departure) rebuilds the active set before new traffic flows.
-	waitFor(t, func() bool { return task.DynEventsProcessed() >= before+3 })
+	sys.Quiesce()
+	if got := task.DynEventsProcessed(); got != before+3 {
+		t.Fatalf("membership events applied = %d, want %d", got, before+3)
+	}
 	if _, err := caller.Endpoint().Invoke("svc", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitResults(t, task, 2)
+	wantResults(t, sys, task, 2)
 	task.Stop()
 	if got := len(task.Results().Drain()); got != 2 {
 		t.Fatalf("results = %d, want 2 (one call per epoch, no duplicates)", got)

@@ -198,7 +198,7 @@ func (p *Peer) splitInterior(t *Task, n *algebra.Node, at time.Duration) (SplitE
 		if err != nil {
 			return ev, err
 		}
-		h := operators.Run(proc, queues, operators.ChannelPublish(mOut))
+		h := s.run(proc, queues, operators.ChannelPublish(mOut))
 		for i, c := range m.Inputs {
 			h.SeedConsumed(i, cut[c])
 		}
@@ -234,7 +234,7 @@ func (p *Peer) splitInterior(t *Task, n *algebra.Node, at time.Duration) (SplitE
 	for i, b := range mb {
 		queues[i] = b.queue
 	}
-	h := operators.Run(proc, queues, operators.ChannelPublish(newOut))
+	h := s.run(proc, queues, operators.ChannelPublish(newOut))
 	t.handles = append(t.handles, h)
 	t.procs[n] = &procInstance{proc: proc, handle: h}
 	t.refs[n] = newOut.Ref()

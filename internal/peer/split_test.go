@@ -58,7 +58,6 @@ func TestSplitInteriorMatchesFlat(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
 		sys.Step(time.Second)
 		if i == events/2 {
 			// Mid-window, mid-stream: the interior holds merged state
@@ -117,7 +116,6 @@ func TestSplitThenCrashExactlyOnce(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
 		sys.Step(time.Second)
 		switch i {
 		case events / 2:
@@ -187,7 +185,6 @@ func TestRechunkControllerSplitsHotInterior(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(skewTarget(i), "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
 		sys.Step(time.Second)
 	}
 	evs := sys.SplitEvents()
@@ -245,7 +242,6 @@ func TestTuningMidRunDeterministic(t *testing.T) {
 			if _, err := client.Endpoint().Invoke(skewTarget(i), "Q", nil); err != nil {
 				t.Fatalf("event %d: %v", i, err)
 			}
-			settleTask(task)
 			sys.Step(time.Second)
 			switch i {
 			case events / 3:
@@ -333,7 +329,6 @@ func TestSplitRebalancesTreeWide(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
 		sys.Step(time.Second)
 		switch i {
 		case events / 3:

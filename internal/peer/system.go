@@ -15,6 +15,7 @@ import (
 	"p2pm/internal/algebra"
 	"p2pm/internal/dht"
 	"p2pm/internal/kadop"
+	"p2pm/internal/operators"
 	"p2pm/internal/rss"
 	"p2pm/internal/simnet"
 	"p2pm/internal/soap"
@@ -68,6 +69,12 @@ type System struct {
 	// onStep hooks run at the end of every Step (after detectors, sweeps
 	// and checkpoints) — the seam per-Step adaptive controllers hang off.
 	onStep []func(now time.Duration)
+
+	// inflight counts the items waiting in operator input queues or
+	// being processed by their readers (Quiesce).
+	inflight stream.Inflight
+	// joinMu makes each JoinPeer one critical section.
+	joinMu sync.Mutex
 
 	lastCkpt time.Duration // virtual time of the last checkpoint sweep
 	replayed atomic.Uint64 // items retransmitted from replay buffers
@@ -190,10 +197,14 @@ func (s *System) AddPeer(name string) (*Peer, error) {
 // targeting. Re-joining a dead peer revives it: its links come up, it
 // re-enters the ring, and its gossip incarnation is bumped above every
 // death rumor so the stale declarations cannot kill it again.
+// Concurrent joins are serialized, so a duplicate join of one name
+// takes the rejoin path instead of failing.
 func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 	if name == seed {
 		return nil, fmt.Errorf("peer: %s cannot seed its own join", name)
 	}
+	s.joinMu.Lock()
+	defer s.joinMu.Unlock()
 	if s.Peer(seed) == nil {
 		return nil, fmt.Errorf("peer: join seed %q is not a member", seed)
 	}
@@ -228,8 +239,8 @@ func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 		if g, ok := det.(*GossipDetector); ok {
 			if err := g.Join(name, seed); err != nil {
 				// Unreachable given the precheck above (no state changed
-				// between the two under this harness's single-threaded
-				// membership control); surface it rather than hide it.
+				// between the two inside this critical section);
+				// surface it rather than hide it.
 				return p, err
 			}
 			gossiped = true
@@ -574,6 +585,21 @@ func (s *System) RefreshStreamStats() error {
 	return nil
 }
 
+// Quiesce blocks until every item released into the operator pipeline
+// has been processed: no item waits in an operator input queue or runs
+// in an Accept. Items a cursor parks behind a sequence gap are released
+// by a later Step's anti-entropy sweep. Never call it from an operator.
+func (s *System) Quiesce() { s.inflight.Wait() }
+
+// run starts proc over its input queues, counting their items in the
+// system's in-flight total.
+func (s *System) run(proc operators.Proc, inputs []*stream.Queue, sink operators.Emit) *operators.Handle {
+	for _, q := range inputs {
+		q.Track(&s.inflight)
+	}
+	return operators.Run(proc, inputs, sink)
+}
+
 // Step advances the virtual clock by d and ticks every registered
 // failure detector. Churn harnesses drive the system with repeated small
 // Steps; detection latency is quantized to the step size, so use steps
@@ -581,10 +607,17 @@ func (s *System) RefreshStreamStats() error {
 // replay layer on, each Step also runs the anti-entropy sweep (repairing
 // link-fault losses from the upstream replay buffers) and, every
 // CheckpointInterval, the operator checkpoint sweep.
+//
+// Step only advances a quiescent system: it Quiesces before the clock
+// moves, after the detector ticks and their repairs, and after the
+// anti-entropy sweep, so the checkpoint sweep (which releases no items)
+// and the OnStep hooks see processed state too, and one seed gives one
+// run. Call Quiesce to read results between Steps.
 func (s *System) Step(d time.Duration) {
 	if s.tele != nil {
 		defer s.observeStep(time.Now())
 	}
+	s.Quiesce()
 	s.Net.Clock().Advance(d)
 	s.mu.Lock()
 	dets := append([]FailureDetector(nil), s.detectors...)
@@ -592,9 +625,11 @@ func (s *System) Step(d time.Duration) {
 	for _, det := range dets {
 		det.Tick()
 	}
+	s.Quiesce()
 	if s.replayOn() {
 		s.syncReplicas()
 		s.syncBindings()
+		s.Quiesce()
 	}
 	if interval := s.checkpointInterval(); interval > 0 {
 		now := s.Net.Clock().Now()

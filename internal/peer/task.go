@@ -33,7 +33,6 @@ type Task struct {
 	handles    []*operators.Handle
 	closers    []func()
 	pollers    []func() (int, error)
-	dynDone    []chan struct{}
 	loads      []string
 	resultCh   *stream.Channel
 	namedCh    *stream.Channel
@@ -189,9 +188,6 @@ func (t *Task) Stop() {
 		for _, h := range t.handles {
 			h.Wait()
 		}
-		for _, d := range t.dynDone {
-			<-d
-		}
 		for _, ch := range t.channels {
 			ch.Close()
 		}
@@ -209,9 +205,6 @@ func (t *Task) Stop() {
 func (t *Task) Wait() {
 	for _, h := range t.handles {
 		h.Wait()
-	}
-	for _, d := range t.dynDone {
-		<-d
 	}
 }
 

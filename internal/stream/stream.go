@@ -53,15 +53,56 @@ func ParseRef(s string) (Ref, error) {
 	return Ref{}, fmt.Errorf("stream: invalid ref %q (want streamID@peerID)", s)
 }
 
+// Inflight counts the items that tracked queues hold or that their
+// readers are still processing, so a driver can wait for the exact
+// moment every released item has been handled instead of guessing it
+// from timing. The zero value is ready to use.
+type Inflight struct {
+	mu   sync.Mutex
+	zero sync.Cond
+	n    int64
+}
+
+func (f *Inflight) add(d int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.n += d; f.n == 0 {
+		f.zero.Broadcast()
+	}
+}
+
+// Len returns the number of items currently counted.
+func (f *Inflight) Len() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.n
+}
+
+// Wait blocks until the count is zero.
+func (f *Inflight) Wait() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.zero.L = &f.mu
+	for f.n != 0 {
+		f.zero.Wait()
+	}
+}
+
 // Queue is an unbounded FIFO of items with a blocking Pop. Operators in a
 // deployed plan communicate through queues so a slow consumer never
 // deadlocks a fan-out; the high-water mark is tracked so experiments can
 // report buffer pressure.
+//
+// A queue may be tracked by an Inflight (Track): every item it buffers,
+// eos included, counts there until its reader reports it handled
+// (Done). Items the reader will never see — pushed to a closed queue,
+// or left behind the eos it stopped at (End) — are not counted.
 type Queue struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	items     []Item
 	closed    bool
+	track     *Inflight
 	highWater int
 	pushed    uint64
 }
@@ -80,6 +121,9 @@ func (q *Queue) Push(it Item) {
 	defer q.mu.Unlock()
 	if q.closed {
 		return
+	}
+	if q.track != nil {
+		q.track.add(1)
 	}
 	q.items = append(q.items, it)
 	q.pushed++
@@ -116,6 +160,34 @@ func (q *Queue) TryPop() (Item, bool) {
 	it := q.items[0]
 	q.items = q.items[1:]
 	return it, true
+}
+
+// Track counts the queue's items in f: those already buffered and every
+// later push. Call it before the reader starts.
+func (q *Queue) Track(f *Inflight) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.track = f
+	f.add(int64(len(q.items)))
+}
+
+// Done reports one popped item (eos included) handled by the reader.
+func (q *Queue) Done() {
+	if q.track != nil {
+		q.track.add(-1)
+	}
+}
+
+// End is called by a reader that stops at eos: it discards the items
+// behind it and closes the queue. The eos stays counted until Done.
+func (q *Queue) End() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.track != nil {
+		q.track.add(-int64(len(q.items)))
+	}
+	q.items = nil
+	q.closed = true
 }
 
 // Close marks the queue closed; blocked Pops return.

@@ -88,6 +88,9 @@ func TestExactlyOnceChurnTable(t *testing.T) {
 				if got := nodes["n1"].Results(); len(got) != wantLines {
 					t.Errorf("completeness %d/%d windows at drop=%.1f", len(got), wantLines, rate)
 				}
+				if got := nodes["n2"].MirrorCkpts(); len(got) != wantLines {
+					t.Errorf("mirror holds %d/%d checkpoints at drop=%.1f", len(got), wantLines, rate)
+				}
 			})
 		}
 	})
@@ -137,6 +140,9 @@ func TestExactlyOnceChurnTable(t *testing.T) {
 				got := nodes["n1"].Results()
 				if len(got) != wantLines {
 					t.Fatalf("completeness %d/%d windows with kills every %v", len(got), wantLines, killEvery)
+				}
+				if cks := nodes["n2"].MirrorCkpts(); len(cks) != wantLines {
+					t.Fatalf("mirror holds %d/%d checkpoints with kills every %v", len(cks), wantLines, killEvery)
 				}
 				// And the answers are still the loss-free ones.
 				clean, _ := runScenario(t, "simnet", cfg, TCPOptions{})

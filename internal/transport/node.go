@@ -35,7 +35,9 @@ import (
 // stream with a wire.Publish descriptor, and the root mirrors each
 // completed window's merged state to the lexically second peer with a
 // wire.CkptPut — so every wire message kind a real deployment needs
-// crosses the transport in this scenario.
+// crosses the transport in this scenario. The mirror acks its
+// contiguous checkpoint prefix cumulatively, and the root resends the
+// first unacked window and is done only once every checkpoint is acked.
 type Node struct {
 	cfg NodeConfig
 	tr  Transport
@@ -50,7 +52,9 @@ type Node struct {
 	partials  map[uint64]map[string]*wire.Partial // root: first copy per (window, source)
 	emitted   []string                            // root: result lines
 	nextEmit  uint64                              // root: lowest incomplete window
+	ckptAcked uint64                              // root: checkpoint prefix the mirror acked
 	ckpts     map[string]string                   // mirror: checkpointed window states
+	ckptNext  uint64                              // mirror: length of the contiguous checkpoint prefix
 	defs      map[string]string                   // root: published stream descriptors by source
 	lastSeen  map[string]time.Time                // heartbeat: peer -> last gossip sighting
 	probeSeq  uint64
@@ -175,9 +179,8 @@ func (n *Node) Stop() {
 	}
 }
 
-// Wait blocks until the node finished its part of the scenario — the
-// root emitted every window, a source got every window acked — or the
-// timeout passes.
+// Wait blocks until the node finished its part of the scenario
+// (finishedLocked) or the timeout passes.
 func (n *Node) Wait(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
@@ -322,10 +325,6 @@ func (n *Node) sourceLoop() {
 			}
 		}
 	}
-	n.mu.Lock()
-	n.done = true
-	n.cond.Broadcast()
-	n.mu.Unlock()
 }
 
 // waitAck waits one resend period for the root's ack of window w.
@@ -374,6 +373,9 @@ func (n *Node) heartbeatLoop() {
 			}
 			n.tr.Send(p, &wire.Probe{Seq: seq, Updates: up}) //nolint:errcheck // liveness is best-effort
 		}
+		if n.IsRoot() {
+			n.resendCkpt() // one checkpoint resend per heartbeat period
+		}
 	}
 }
 
@@ -391,6 +393,10 @@ func (n *Node) onMessage(from string, m wire.Message) {
 		if t.Stream == n.cfg.Self {
 			n.acked[t.Window] = true
 		}
+		if t.Stream == ckptStream && t.Window > n.ckptAcked {
+			n.ckptAcked = t.Window
+		}
+		n.done = n.finishedLocked()
 		n.lastSeen[from] = time.Now()
 		n.cond.Broadcast()
 		n.mu.Unlock()
@@ -415,8 +421,21 @@ func (n *Node) onMessage(from string, m wire.Message) {
 		}
 	case *wire.CkptPut:
 		n.mu.Lock()
+		_, dup := n.ckpts[t.Key]
 		n.ckpts[t.Key] = t.Value
+		for _, ok := n.ckpts[ckptKey(n.ckptNext)]; ok; _, ok = n.ckpts[ckptKey(n.ckptNext)] {
+			n.ckptNext++
+		}
+		prefix := n.ckptNext
+		n.done = n.finishedLocked()
+		n.cond.Broadcast()
 		n.mu.Unlock()
+		// Ack only when the root needs it — the prefix is complete, or
+		// this was a resend — so an in-order run costs one ack, not one
+		// per window.
+		if dup || prefix == uint64(n.cfg.Windows) {
+			n.tr.Send(from, &wire.Ack{Stream: ckptStream, Window: prefix}) //nolint:errcheck // the root resends
+		}
 	}
 }
 
@@ -461,51 +480,85 @@ func (n *Node) onPartial(from string, p *wire.Partial) {
 
 // emitComplete merges and emits every ready window in order.
 func (n *Node) emitComplete() {
-	fn, _ := monoid.Lookup(n.cfg.Fn)
 	for {
 		n.mu.Lock()
 		w := n.nextEmit
-		win := n.partials[w]
-		if n.done || len(win) < len(n.srcs) {
+		if len(n.partials[w]) < len(n.srcs) {
 			n.mu.Unlock()
 			return
 		}
-		merged := fn.Zero()
-		var events uint64
-		for _, src := range n.srcs { // sorted: deterministic merge order
-			p := win[src]
-			st, err := fn.Decode(p.State)
-			if err != nil {
-				continue // validated at ingest; unreachable
-			}
-			merged.Merge(st) //nolint:errcheck // same-monoid merge cannot fail
-			events += p.Count
-		}
-		attrs := map[string]string{}
-		merged.Final(func(a, v string) { attrs[a] = v })
-		keys := make([]string, 0, len(attrs))
-		for k := range attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b strings.Builder
-		fmt.Fprintf(&b, "window=%d fn=%s", w, n.cfg.Fn)
-		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%s", k, attrs[k])
-		}
-		fmt.Fprintf(&b, " events=%d sources=%d", events, len(n.srcs))
-		line := b.String()
-		state := merged.Encode()
+		line, state := n.mergeLocked(w)
 		n.emitted = append(n.emitted, line)
 		n.nextEmit++
-		n.done = n.nextEmit == uint64(n.cfg.Windows)
+		n.done = n.finishedLocked()
 		n.cond.Broadcast()
 		n.mu.Unlock()
-		// Mirror the completed window's merged state (kadop
-		// PutCheckpoint semantics over the wire).
-		if n.mirror != n.cfg.Self {
-			key := fmt.Sprintf("ckpt|net|window-%03d", w)
-			n.tr.Send(n.mirror, &wire.CkptPut{Key: key, Value: state}) //nolint:errcheck // mirror is advisory
+		n.tr.Send(n.mirror, &wire.CkptPut{Key: ckptKey(w), Value: state}) //nolint:errcheck // resendCkpt covers it
+	}
+}
+
+// mergeLocked folds window w's partials, in source order so the result
+// is deterministic, into its result line and merged state. n.mu held.
+func (n *Node) mergeLocked(w uint64) (line, state string) {
+	fn, _ := monoid.Lookup(n.cfg.Fn)
+	win := n.partials[w]
+	merged := fn.Zero()
+	var events uint64
+	for _, src := range n.srcs { // sorted: deterministic merge order
+		p := win[src]
+		st, err := fn.Decode(p.State)
+		if err != nil {
+			continue // validated at ingest; unreachable
 		}
+		merged.Merge(st) //nolint:errcheck // same-monoid merge cannot fail
+		events += p.Count
+	}
+	attrs := map[string]string{}
+	merged.Final(func(a, v string) { attrs[a] = v })
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	fmt.Fprintf(&b, "window=%d fn=%s", w, n.cfg.Fn)
+	for _, k := range keys {
+		fmt.Fprintf(&b, " %s=%s", k, attrs[k])
+	}
+	fmt.Fprintf(&b, " events=%d sources=%d", events, len(n.srcs))
+	return b.String(), merged.Encode()
+}
+
+// finishedLocked reports whether the node's part is complete: the root
+// emitted every window and the mirror acked every checkpoint; a source
+// got every window acked and, as the mirror, holds every checkpoint.
+func (n *Node) finishedLocked() bool {
+	all := uint64(n.cfg.Windows)
+	if n.IsRoot() {
+		return n.nextEmit == all && n.ckptAcked == all
+	}
+	return uint64(len(n.acked)) == all && (n.cfg.Self != n.mirror || n.ckptNext == all)
+}
+
+// ckptStream is the Ack.Stream of the mirror's checkpoint acks.
+const ckptStream = "ckpt|net"
+
+// ckptKey is the mirror key of window w's checkpoint (kadop
+// PutCheckpoint semantics over the wire).
+func ckptKey(w uint64) string { return fmt.Sprintf("%s|window-%03d", ckptStream, w) }
+
+// resendCkpt re-mirrors, once every window is emitted, the first
+// checkpoint the mirror has not acked.
+func (n *Node) resendCkpt() {
+	n.mu.Lock()
+	w := n.ckptAcked
+	due := w < n.nextEmit && n.nextEmit == uint64(n.cfg.Windows)
+	var state string
+	if due {
+		_, state = n.mergeLocked(w)
+	}
+	n.mu.Unlock()
+	if due {
+		n.tr.Send(n.mirror, &wire.CkptPut{Key: ckptKey(w), Value: state}) //nolint:errcheck // resent next period
 	}
 }

@@ -93,7 +93,7 @@ type AdaptReport struct {
 	FalseKills int      // confirmed deaths of peers that were alive
 	TrueKills  int      // confirmed deaths of actually crashed peers
 	Kills      []string // every confirmed death: peer, virtual time, crashed?
-	Repairs    int // failover repair actions
+	Repairs    int      // failover repair actions
 	Replayed   uint64
 
 	Splits      int
@@ -352,19 +352,6 @@ func (l *AdaptLab) setSlow(on bool) {
 	}
 }
 
-func (l *AdaptLab) settle() {
-	last, stable := uint64(0), 0
-	for i := 0; i < 2000 && stable < 3; i++ {
-		cur := l.Task.ItemsProcessed()
-		if cur == last {
-			stable++
-		} else {
-			stable, last = 0, cur
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // Run drives the schedule and returns the report.
 func (l *AdaptLab) Run() (*AdaptReport, error) {
 	cfg, sys, rep := l.cfg, l.Sys, l.rep
@@ -409,7 +396,6 @@ func (l *AdaptLab) Run() (*AdaptReport, error) {
 		if _, err := client.Endpoint().Invoke(l.target(i), "Q", nil); err != nil {
 			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
-		l.settle()
 		sys.Step(cfg.Step)
 		rep.Driven++
 		if faults && l.det != nil {
@@ -420,17 +406,16 @@ func (l *AdaptLab) Run() (*AdaptReport, error) {
 			}
 		}
 		if faults && i == snapshotAt {
-			l.settle()
+			sys.Quiesce()
 			snap = l.interiorGauges()
 		}
 	}
 
 	// Drain: replay, anti-entropy, late windows.
 	for i := 0; i < 8; i++ {
-		l.settle()
 		sys.Step(cfg.Step)
 	}
-	l.settle()
+	sys.Quiesce()
 
 	if faults {
 		final := l.interiorGauges()

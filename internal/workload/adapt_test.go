@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -94,6 +95,18 @@ func TestAdaptAdaptiveKillsNobodyFalsely(t *testing.T) {
 	if !rep.Identical(flat.Records) {
 		t.Errorf("adaptive records not byte-identical to flat:\n got: %v\nwant: %v",
 			rep.Records, flat.Records)
+	}
+}
+
+// TestAdaptSameSeedSameReport: the X6 configuration is a function of
+// its seed. Two adaptive runs must agree on every reported number,
+// repair count included — operators still running while a Step's
+// phases execute would make detector ticks and repairs race the
+// pipeline.
+func TestAdaptSameSeedSameReport(t *testing.T) {
+	a, b := runAdapt(t, "adaptive"), runAdapt(t, "adaptive")
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same seed, different reports:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -328,21 +328,6 @@ func (l *AggLab) AggHost() string {
 	return host
 }
 
-// settle waits (bounded) until the task's operators stop consuming, so
-// each virtual Step sees processed state.
-func (l *AggLab) settle() {
-	last, stable := uint64(0), 0
-	for i := 0; i < 2000 && stable < 3; i++ {
-		cur := l.Task.ItemsProcessed()
-		if cur == last {
-			stable++
-		} else {
-			stable, last = 0, cur
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // value returns the per-call value event i carries (the invoked method
 // name) in value-consuming runs.
 func (l *AggLab) value(i int) string {
@@ -407,7 +392,6 @@ func (l *AggLab) Run() (*AggReport, error) {
 	err := r.run(schedule{
 		Events: cfg.Events, Step: cfg.Step, MTTR: cfg.MTTR,
 		CrashEvery: cfg.CrashEvery, LeaveEvery: cfg.LeaveEvery, JoinEvery: cfg.JoinEvery,
-		SettleBeforeStep: true,
 		Drive: func(i int) error {
 			target := fmt.Sprintf("s%d", i%cfg.Sources)
 			method := "Q"
@@ -419,7 +403,6 @@ func (l *AggLab) Run() (*AggReport, error) {
 			}
 			return nil
 		},
-		Settle: l.settle,
 		Victim: l.AggHost,
 		// Only workers crash or leave (an interior that fell back onto a
 		// biased peer would take its alerter down with it).
@@ -440,10 +423,9 @@ func (l *AggLab) Run() (*AggReport, error) {
 		sys.Step(cfg.Step)
 	}
 	for i := 0; i < 8; i++ {
-		l.settle()
 		sys.Step(cfg.Step)
 	}
-	l.settle()
+	sys.Quiesce()
 
 	// Ingest snapshot before teardown, over the candidate host set —
 	// read from the System.AggLoad stats surface (the same gauge the

@@ -326,23 +326,6 @@ func (l *ChurnLab) resultCount() int {
 	return total
 }
 
-// settle waits (bounded) until the result count stops growing — the
-// in-memory stand-in for the virtual time that separates events in the
-// modeled deployment.
-func (l *ChurnLab) settle() {
-	last, stable := -1, 0
-	for i := 0; i < 200 && stable < 2; i++ {
-		cur := l.resultCount()
-		if cur == last {
-			stable++
-		} else {
-			stable = 0
-			last = cur
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
 // partitionHome isolates mon from every other current peer — including
 // ones that joined after a previous isolation, so a runtime admission
 // cannot quietly bridge the split.
@@ -372,12 +355,6 @@ func (l *ChurnLab) Run() (*ChurnReport, error) {
 	err := r.run(schedule{
 		Events: cfg.Events, Step: cfg.Step, MTTR: cfg.MTTR,
 		CrashEvery: cfg.CrashEvery, LeaveEvery: cfg.LeaveEvery, JoinEvery: cfg.JoinEvery,
-		// Let the pipeline drain before advancing the clock when replay
-		// is on, so checkpoints taken on the Step cadence describe
-		// processed state, not a starved wall-clock snapshot. The lossy
-		// mode has no checkpoints and keeps PR 1's measured semantics
-		// (it still settles before each crash).
-		SettleBeforeStep: cfg.Replay,
 		Drive: func(int) error {
 			if _, err := client.Endpoint().Invoke("src.com", "Q", nil); err != nil {
 				// Only the home-partition scenario may wreck the
@@ -392,7 +369,6 @@ func (l *ChurnLab) Run() (*ChurnReport, error) {
 			}
 			return nil
 		},
-		Settle: l.settle,
 		Victim: l.RelayHost,
 		AfterStep: func(driven int, _ time.Duration) {
 			if cfg.PartitionHomeAfter > 0 && driven == cfg.PartitionHomeAfter {
@@ -452,15 +428,14 @@ func (l *ChurnLab) Run() (*ChurnReport, error) {
 	if cfg.Replay {
 		// With replay on, every driven event is recoverable: keep
 		// stepping (migrations replay outage windows, anti-entropy sweeps
-		// refill link losses) until the last result lands. The bound is
-		// generous — on a loaded machine the operator goroutines may need
-		// many settle rounds to drain — but a run whose substrate was
-		// destroyed (home-partition scenario) stops making progress, so
-		// bail once the count stalls.
+		// refill link losses) until the last result lands. A run whose
+		// substrate was destroyed (home-partition scenario) stops making
+		// progress, so bail once the count stalls for longer than any
+		// detection window.
 		last, stalled := -1, 0
 		for i := 0; i < 1000 && l.resultCount() < rep.Expected() && stalled < 50; i++ {
 			sys.Step(cfg.Step)
-			l.settle()
+			sys.Quiesce()
 			if cur := l.resultCount(); cur == last {
 				stalled++
 			} else {

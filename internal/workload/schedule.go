@@ -9,9 +9,9 @@ import (
 )
 
 // schedRunner is the shared churn-schedule engine behind ChurnLab and
-// AggLab: the per-event loop that drives workload, settles the pipeline,
-// advances virtual time, admits pending joiners, recovers/rejoins
-// departed peers, and injects the graceful-leave and crash schedules
+// AggLab: the per-event loop that drives workload, advances virtual time
+// (System.Step processes every released item first), admits pending
+// joiners, recovers/rejoins departed peers, and injects the graceful-leave and crash schedules
 // under the one-outstanding-failure rule. The labs differ only in what
 // they drive, whom they target and how they score — those arrive as
 // schedule hooks — so scheduling fixes land here once instead of
@@ -110,18 +110,11 @@ type schedule struct {
 	CrashEvery int
 	LeaveEvery int
 	JoinEvery  int
-	// SettleBeforeStep settles the pipeline after every driven event
-	// (before the clock advances), so checkpoints taken on the Step
-	// cadence describe processed state.
-	SettleBeforeStep bool
 
 	// Drive issues event i. An error aborts the run; a lab that
 	// tolerates drive faults (the home-partition scenario) absorbs them
 	// in its closure.
 	Drive func(i int) error
-	// Settle drains the pipeline (also called before each injected
-	// leave/crash so the measured loss is the outage window itself).
-	Settle func()
 	// Victim names the current leave/crash target.
 	Victim func() string
 	// VictimOK, when set, further restricts eligible victims (e.g. only
@@ -165,9 +158,6 @@ func (r *schedRunner) run(s schedule) error {
 			return err
 		}
 		r.driven++
-		if s.SettleBeforeStep {
-			s.Settle()
-		}
 		r.sys.Step(s.Step)
 		now := r.sys.Net.Clock().Now()
 		if s.AfterStep != nil {
@@ -203,7 +193,7 @@ func (r *schedRunner) run(s schedule) error {
 			// Like the crash schedule: one departure at a time, and only
 			// while the pool is otherwise healthy.
 			if r.victimOK(s, leaver) && len(r.rejoinAt) == 0 {
-				s.Settle()
+				r.sys.Quiesce()
 				evs, err := r.sys.LeavePeer(leaver)
 				if err != nil {
 					return fmt.Errorf("workload: %s leaving gracefully: %w", leaver, err)
@@ -228,7 +218,7 @@ func (r *schedRunner) run(s schedule) error {
 			// delivered when the crash strikes, so the measured loss is
 			// the outage window itself, not a scheduling artifact.
 			if r.victimOK(s, victim) {
-				s.Settle()
+				r.sys.Quiesce()
 				r.sys.Net.Crash(victim) //nolint:errcheck // known node
 				r.crashes++
 				r.crashLog = append(r.crashLog, CrashEvent{Victim: victim, At: now})

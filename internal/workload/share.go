@@ -97,14 +97,14 @@ type ShareReport struct {
 	CorrectGroups     int
 	ByteIdenticalSubs int
 	// Mismatches describes each non-identical subscription (diagnostics).
-	Mismatches []string
-	Crashes           int
-	Leaves            int
-	Joins             int
-	Deaths            int
-	Repairs           int
-	LeaveRepairs      int
-	Replayed          uint64
+	Mismatches   []string
+	Crashes      int
+	Leaves       int
+	Joins        int
+	Deaths       int
+	Repairs      int
+	LeaveRepairs int
+	Replayed     uint64
 	// Ingest is the per-peer operator ingest over sources and workers —
 	// sharing shows up as a lower max (partial streams fan out once, not
 	// once per subscription).
@@ -317,27 +317,6 @@ func (l *ShareLab) ShareHost() string {
 	return host
 }
 
-// settle waits (bounded) until all tasks' operators stop consuming.
-func (l *ShareLab) settle() {
-	sum := func() uint64 {
-		var n uint64
-		for _, t := range l.Tasks {
-			n += t.ItemsProcessed()
-		}
-		return n
-	}
-	last, stable := uint64(0), 0
-	for i := 0; i < 2000 && stable < 3; i++ {
-		cur := sum()
-		if cur == last {
-			stable++
-		} else {
-			stable, last = 0, cur
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // expected replays the drive schedule through subscription j's source
 // interval: per (window|key) the exact <group> record a lossless run
 // emits.
@@ -381,7 +360,6 @@ func (l *ShareLab) Run() (*ShareReport, error) {
 	err := r.run(schedule{
 		Events: cfg.Events, Step: cfg.Step, MTTR: cfg.MTTR,
 		CrashEvery: cfg.CrashEvery, LeaveEvery: cfg.LeaveEvery, JoinEvery: cfg.JoinEvery,
-		SettleBeforeStep: true,
 		Drive: func(i int) error {
 			target := fmt.Sprintf("s%d", i%cfg.Sources)
 			if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
@@ -389,7 +367,6 @@ func (l *ShareLab) Run() (*ShareReport, error) {
 			}
 			return nil
 		},
-		Settle:   l.settle,
 		Victim:   l.ShareHost,
 		VictimOK: func(v string) bool { return strings.HasPrefix(v, "w") },
 	})
@@ -406,10 +383,9 @@ func (l *ShareLab) Run() (*ShareReport, error) {
 		sys.Step(cfg.Step)
 	}
 	for i := 0; i < 8; i++ {
-		l.settle()
 		sys.Step(cfg.Step)
 	}
-	l.settle()
+	sys.Quiesce()
 
 	// Deployment accounting and the ingest snapshot, before teardown —
 	// ingest comes from the System.AggLoad stats surface (shared with
@@ -456,11 +432,11 @@ func (l *ShareLab) Run() (*ShareReport, error) {
 	// ones' streams, so stopping the seed first propagates EOS to every
 	// dependent before its own Stop detaches it.
 	l.Tasks[0].Stop()
-	l.settle()
+	sys.Quiesce()
 	for _, t := range l.Tasks[1:] {
 		t.Stop()
 	}
-	l.settle()
+	sys.Quiesce()
 
 	for j, t := range l.Tasks {
 		exp := l.expected(shareRange(j, cfg.Sources))
