@@ -191,7 +191,7 @@ func runX5(s Scale) (*Result, error) {
 		"sharing is discovered from the published stream definitions alone: tree roots also publish under the equivalent flat plan's signature (exact duplicates become channel taps), and partial/merge emitters publish their group identity plus source-signature sets (contained source sets graft a final merge onto a disjoint cover of running partials) — docs/REUSE.md",
 		"grafted roots publish too, so sharing compounds: the second subscriber to a grafted range taps its root instead of re-grafting",
 		"every subscription is scored byte-identically against an independent monoid replay of the drive schedule, not against the other mode — both modes are checked against ground truth",
-		"shared interiors are multi-tenant: crash repair rides the replica/cursor machinery, and planned moves (joins, graceful leaves) re-bind every consumer's channel subscription across task boundaries (System.RebalanceAggTrees + stale-channel sweep)",
+		"shared interiors are multi-tenant: crash repair rides the replica/cursor machinery, and every move (crash repair, joins, graceful leaves, splits) re-binds every consumer's channel subscription across task boundaries, with one re-bind sweep ending each membership change (docs/REPLAY.md)",
 		"partial streams are only safe to graft for subscribers deployed before events flow — a late subscriber would miss already-closed windows under the watermark rule — so the lab deploys the whole population up front; late arrivals exact-match final streams instead, which replay from the cursor store",
 		fmt.Sprintf("population: subscription 0 spans all %d sources; subscription j covers a sliding range of length 2+(j-1) mod %d — duplicates, strict prefixes and partial overlaps all occur", sources, sources-1))
 	res.Holds = holds

@@ -225,7 +225,7 @@ func TestAggTreeInteriorCrashExactlyOnce(t *testing.T) {
 			victim = aggtree.Interiors(task.Plan)[0].Peer
 			sys.Net.Crash(victim) //nolint:errcheck // known node
 		case repairAt:
-			evs := sys.FailPeer(victim, sys.Net.Clock().Now())
+			evs := failChecked(t, sys, victim, sys.Net.Clock().Now())
 			repaired := 0
 			for _, ev := range evs {
 				if ev.Repaired() {
@@ -280,7 +280,7 @@ func TestAggTreeRebalanceOnJoin(t *testing.T) {
 		if i == 15 || i == 31 { // join mid-run, mid-window
 			name := fmt.Sprintf("w%d", workers+joined)
 			joined++
-			if _, err := sys.JoinPeer(name, "mgr"); err != nil {
+			if _, err := joinChecked(t, sys, name, "mgr"); err != nil {
 				t.Fatalf("joining %s: %v", name, err)
 			}
 		}
@@ -336,10 +336,10 @@ func TestAggTreeRebalanceOnRejoin(t *testing.T) {
 			victim = aggtree.Interiors(task.Plan)[0].Peer
 			sys.Net.Crash(victim) //nolint:errcheck // known node
 		case repairAt:
-			sys.FailPeer(victim, sys.Net.Clock().Now())
+			failChecked(t, sys, victim, sys.Net.Clock().Now())
 		case rejoinAt:
 			sys.Net.Recover(victim) //nolint:errcheck // known node
-			sys.RejoinPeer(victim)
+			rejoinChecked(t, sys, victim)
 			// The recovered host owns part of the keyspace again; the
 			// deployed interiors must follow immediately.
 			desired := sys.AggPlacements(task.Plan)

@@ -375,14 +375,14 @@ func TestFailoverChainAfterRecovery(t *testing.T) {
 
 	// Generation 1: the original relay host dies; the operator migrates
 	// into the announced replica at edge.com.
-	sys.FailPeer("w1", 0)
+	failChecked(t, sys, "w1", 0)
 	drive(2, 4)
 	// The original host recovers — but its channel has no producer now.
-	sys.RejoinPeer("w1")
+	rejoinChecked(t, sys, "w1")
 	// Generation 2: the replica host dies too. The consumer must land on
 	// the second-generation provider, not on the recovered-but-silent
 	// original channel at w1.
-	sys.FailPeer("edge.com", 0)
+	failChecked(t, sys, "edge.com", 0)
 	var rebound stream.Ref
 	t2.Plan.Walk(func(n *algebra.Node) {
 		if n.Op == algebra.OpChannelIn {
@@ -416,7 +416,7 @@ func TestFailPeerSourceDeathDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := sys.FailPeer("src.com", 0)
+	events := failChecked(t, sys, "src.com", 0)
 	if len(events) != 1 || events[0].Repaired() {
 		t.Fatalf("events = %+v, want one unrepairable loss", events)
 	}
@@ -560,7 +560,7 @@ return <hit id="{$e.callId}"/> by publish as channel "hits"`)
 	// m.com dies: task 1 loses both its alerter (unrepairable — the
 	// source is gone) and the σ; task 2's ChannelIn must be re-bound to
 	// wherever the σ re-deployed.
-	events := sys.FailPeer("m.com", 0)
+	events := failChecked(t, sys, "m.com", 0)
 	repaired := 0
 	for _, e := range events {
 		if e.Repaired() {

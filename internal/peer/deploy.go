@@ -145,7 +145,7 @@ func (p *Peer) bindResults(task *Task, ch *stream.Channel, fromSeq uint64) {
 func (p *Peer) subscribe(task *Task, ch *stream.Channel, consumerPeer string) *stream.Subscription {
 	var deliver func(stream.Item, *stream.Queue)
 	if ch.Ref().PeerID != consumerPeer {
-		deliver = p.sys.link.DeliverHook(ch.Ref().PeerID, consumerPeer)
+		deliver = p.sys.Net.DeliverHook(ch.Ref().PeerID, consumerPeer)
 	}
 	sub := ch.Subscribe(consumerPeer, deliver)
 	p.trackSub(task, ch, sub)
@@ -531,7 +531,7 @@ func (p *Peer) runPublisher(task *Task, n *algebra.Node, in *stream.Queue, named
 				fromSeq = cur.Next()
 			}
 			sub := p.sys.attachResuming(named, tgt.Peer, cur, fromSeq,
-				p.sys.link.DeliverHook(named.Ref().PeerID, tgt.Peer))
+				p.sys.Net.DeliverHook(named.Ref().PeerID, tgt.Peer))
 			task.subs = append(task.subs, sub)
 			sub.Queue.Track(&p.sys.inflight)
 			go func() {

@@ -213,7 +213,7 @@ func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
 		det.Leave(name)
 	}
 	if tgt := s.leastLoadedLive(name); tgt != "" {
-		s.link.CountTransfer(name, tgt, ctrlMsgBytes)
+		s.Net.CountTransfer(name, tgt, ctrlMsgBytes)
 	}
 	// Graceful ring departure: the leaver's stored copies migrate to the
 	// new owners (unlike Fail, where they die with it).
@@ -287,14 +287,11 @@ func (s *System) repairDeparted(dead string, at time.Duration) []FailoverEvent {
 			events = append(events, p.repairOperators(t, dead, at)...)
 		}
 	}
-	// Phase 2: re-bind subscriptions that consumed channels hosted on
-	// the dead peer (reused streams, replicas).
-	for _, p := range s.livePeers() {
-		for _, t := range sortedTasks(p) {
-			events = append(events, p.repairChannelIns(t, dead, at)...)
-		}
-	}
-	return events
+	// Phase 2: re-bind every subscription left on an unusable channel —
+	// hosted on the dead peer, or fed by a producer phase 1 moved away
+	// (including replicas of its stream that the replacement did not
+	// adopt).
+	return append(events, s.repairChannelIns(dead, at)...)
 }
 
 // rehomeTask moves a task's subscription-manager role off a dead peer:
@@ -338,7 +335,7 @@ func (s *System) rehomeTask(old *Peer, t *Task, newMgr string, at time.Duration)
 	// nothing can flow to or from it); the fetch is accounted like any
 	// other repair control message.
 	if owner, err := s.Ring.Owner(t.ID); err == nil {
-		s.link.CountTransfer(owner, newMgr, ctrlMsgBytes)
+		s.Net.CountTransfer(owner, newMgr, ctrlMsgBytes)
 	}
 	return FailoverEvent{TaskID: t.ID, Operator: "manager", From: old.name, To: newMgr, At: at}
 }
@@ -399,54 +396,9 @@ func (s *System) RebalanceAggTrees(at time.Duration) []FailoverEvent {
 			})
 		}
 	}
-	if len(events) > 0 {
-		// A migrated interior may feed *other* tasks (shared aggregation
-		// trees): redeployOperator re-binds only its own task's consumers,
-		// so sweep every task for subscriptions left on now-stale channels.
-		events = append(events, s.repairStaleChannelIns(at)...)
-	}
-	return events
-}
-
-// repairStaleChannelIns re-binds channel subscriptions whose provider
-// migrated away in a *planned* move. The crash path (repairChannelIns)
-// only considers channels hosted on the departed peer; after a
-// rebalance the old host is alive but the channel lost its producer —
-// consumers of a shared interior from other tasks would starve on it
-// silently. Each stale subscription follows the replica chain to the
-// stream's live provider, resuming from its cursor.
-func (s *System) repairStaleChannelIns(at time.Duration) []FailoverEvent {
-	var events []FailoverEvent
-	for _, p := range s.livePeers() {
-		for _, t := range sortedTasks(p) {
-			postorder(t.Plan, func(n *algebra.Node) {
-				if n.Op != algebra.OpChannelIn || s.usable(n.Channel) {
-					return
-				}
-				origin := n.Origin
-				if origin == (stream.Ref{}) {
-					origin = n.Channel
-				}
-				from := n.Channel.PeerID
-				repl, viaReplica := s.liveProvider(p.name, origin, "")
-				if repl == nil || repl.Ref() == n.Channel {
-					return
-				}
-				for _, b := range t.bindings {
-					if b.child == n {
-						p.rebind(t, b, repl)
-						s.link.CountTransfer(b.consumerPeer, repl.Ref().PeerID, ctrlMsgBytes)
-					}
-				}
-				n.Channel = repl.Ref()
-				events = append(events, FailoverEvent{
-					TaskID: t.ID, Operator: "∈" + origin.String(), From: from,
-					To: repl.Ref().PeerID, ViaReplica: viaReplica, At: at,
-				})
-			})
-		}
-	}
-	return events
+	// The moves re-bound every consumer of the old channels; replicas
+	// fed from them went stale, and their consumers re-bind here.
+	return append(events, s.repairChannelIns("", at)...)
 }
 
 // livePeers returns the registered peers whose node is up, sorted by
@@ -480,20 +432,17 @@ func sortedTasks(p *Peer) []*Task {
 func (p *Peer) repairOperators(t *Task, dead string, at time.Duration) []FailoverEvent {
 	var events []FailoverEvent
 	postorder(t.Plan, func(n *algebra.Node) {
-		if n.Peer != dead {
-			return
+		if n.Peer != dead || n.Op == algebra.OpChannelIn {
+			return // consumed channels are re-bound in phase 2
 		}
+		var ev FailoverEvent
+		var err error
 		switch n.Op {
-		case algebra.OpChannelIn:
-			// Consumed channels are re-bound in phase 2.
 		case algebra.OpAlerter:
 			// The event source itself died: its events originate at the
 			// dead peer, so no live peer can produce them. The task is
 			// degraded until the peer returns.
 			t.degraded = append(t.degraded, n.Label())
-			events = append(events, FailoverEvent{
-				TaskID: t.ID, Operator: n.Label(), From: dead, At: at,
-			})
 		case algebra.OpDynAlerter:
 			// The *manager* of the dynamic alerter set died, not the
 			// monitored peers: a new manager elsewhere replays the
@@ -504,36 +453,25 @@ func (p *Peer) repairOperators(t *Task, dead string, at time.Duration) []Failove
 			// worse than PR 1's visible degradation.
 			if !p.sys.replayOn() {
 				t.degraded = append(t.degraded, n.Label())
-				events = append(events, FailoverEvent{
-					TaskID: t.ID, Operator: n.Label(), From: dead, At: at,
-				})
-				return
+				break
 			}
-			ev, err := p.redeployDynAlerter(t, n, dead, at)
-			if err != nil {
-				t.degraded = append(t.degraded, n.Label()+": "+err.Error())
-				ev = FailoverEvent{TaskID: t.ID, Operator: n.Label(), From: dead, At: at}
-			}
-			events = append(events, ev)
+			ev, err = p.redeployDynAlerter(t, n, dead, at)
 		case algebra.OpPublish:
 			// The publisher's sinks (mailbox, file, feed) are task-level
 			// state at the live manager, so the fan-out itself can move:
 			// a new named channel opens at a live host and external
 			// consumers find it through a replica record.
-			ev, err := p.redeployPublisher(t, n, dead, at)
-			if err != nil {
-				t.degraded = append(t.degraded, n.Label()+": "+err.Error())
-				ev = FailoverEvent{TaskID: t.ID, Operator: n.Label(), From: dead, At: at}
-			}
-			events = append(events, ev)
+			ev, err = p.redeployPublisher(t, n, dead, at)
 		default:
-			ev, err := p.redeployOperator(t, n, dead, at)
-			if err != nil {
-				t.degraded = append(t.degraded, n.Label()+": "+err.Error())
-				ev = FailoverEvent{TaskID: t.ID, Operator: n.Label(), From: dead, At: at}
-			}
-			events = append(events, ev)
+			ev, err = p.redeployOperator(t, n, dead, at)
 		}
+		if err != nil {
+			t.degraded = append(t.degraded, n.Label()+": "+err.Error())
+		}
+		if ev.To == "" { // lost without a repair path
+			ev = FailoverEvent{TaskID: t.ID, Operator: n.Label(), From: dead, At: at}
+		}
+		events = append(events, ev)
 	})
 	return events
 }
@@ -556,10 +494,6 @@ func (p *Peer) repairOperators(t *Task, dead string, at time.Duration) []Failove
 func (p *Peer) redeployOperator(t *Task, n *algebra.Node, dead string, at time.Duration) (FailoverEvent, error) {
 	s := p.sys
 	oldRef := t.refs[n]
-	origRef, hasOrig := t.origRefs[n]
-	if !hasOrig {
-		origRef = oldRef
-	}
 
 	newPeer := ""
 	var out *stream.Channel
@@ -580,9 +514,9 @@ func (p *Peer) redeployOperator(t *Task, n *algebra.Node, dead string, at time.D
 	// a channel other consumers may already use. Replica records chain
 	// to the original identity, so look them up there.
 	if newPeer == "" {
-		replicas, _, _ := s.DB.Replicas(p.name, origRef)
+		replicas, _, _ := s.DB.Replicas(p.name, t.origRef(n))
 		for _, r := range replicas {
-			if r.PeerID == dead || !s.usable(r) {
+			if !s.usable(r) {
 				continue
 			}
 			if ch, ok := s.Channel(r); ok {
@@ -636,42 +570,8 @@ func (p *Peer) redeployOperator(t *Task, n *algebra.Node, dead string, at time.D
 	}
 
 	// Re-bind downstream consumers first, so the old channel's teardown
-	// can no longer reach them. A shared interior feeds consumers in
-	// *other* tasks too (grafted aggregation trees, reused streams):
-	// every binding still reading the old channel is re-bound now, not
-	// left to a later sweep — the moment the old instance's input queues
-	// close it flushes and publishes EOS, and an EOS that reaches a
-	// consumer's queue terminates that input permanently (re-binding the
-	// queue afterwards feeds items nobody reads).
-	for _, b := range t.bindings {
-		if b.child == n {
-			p.rebind(t, b, out)
-		}
-	}
-	for _, cp := range s.livePeers() {
-		for _, ct := range sortedTasks(cp) {
-			if ct == t {
-				continue
-			}
-			for _, b := range ct.bindings {
-				if b.src == nil || b.src.Ref() != oldRef {
-					continue
-				}
-				cp.rebind(ct, b, out)
-				if b.child != nil && b.child.Op == algebra.OpChannelIn && b.child.Channel == oldRef {
-					b.child.Channel = out.Ref()
-				}
-				s.link.CountTransfer(b.consumerPeer, newPeer, ctrlMsgBytes)
-			}
-		}
-	}
-	// Replica forwarders fed from the old channel must not relay its
-	// terminal EOS into their replica channels (closing them under any
-	// consumer — including, when the replacement adopted one, the very
-	// channel the new instance is about to publish into). Detach them;
-	// markStale below propagates to the non-adopted ones and the stale
-	// sweep re-binds their consumers.
-	s.severForwardersFrom(oldRef)
+	// can no longer reach them.
+	p.moveConsumers(t, n, oldRef, out)
 
 	// Re-subscribe the inputs; the dead operator's old input queues are
 	// closed so its goroutine terminates instead of waiting on starved
@@ -723,25 +623,65 @@ func (p *Peer) redeployOperator(t *Task, n *algebra.Node, dead string, at time.D
 	t.procs[n] = &procInstance{proc: proc, handle: h}
 
 	n.Peer = newPeer
-	t.refs[n] = out.Ref()
-	// The abandoned channel has no producer anymore: never offer it (or
-	// forwarders fed from it, other than the adopted one) as a provider
-	// again, even after its host recovers.
-	s.markStale(oldRef, out.Ref())
-	// Announce the replacement as a provider under the stream's original
-	// identity (consumers' ChannelIn Origin and published descriptors
-	// both name it), so phase 2 and future subscriptions find it across
-	// any number of migrations.
-	s.DB.PublishReplica(origRef, out.Ref()) //nolint:errcheck // ring is non-empty here
-	if oldRef != origRef {
-		s.DB.PublishReplica(oldRef, out.Ref()) //nolint:errcheck // same ring
-	}
-	s.link.CountTransfer(t.Manager, newPeer, ctrlMsgBytes)
-
+	s.retire(t, n, oldRef, out.Ref())
 	return FailoverEvent{
 		TaskID: t.ID, Operator: n.Label(), From: dead, To: newPeer,
 		ViaReplica: viaReplica, At: at,
 	}, nil
+}
+
+// moveConsumers hands n's output over from the channel old to out
+// before anything can close old: n's consumers in t re-bind first, then
+// every binding in another task still reading old (a shared interior or
+// reused stream feeds those too) — the moment the old instance's input
+// queues close it flushes and publishes EOS, and an EOS that reaches a
+// consumer's queue terminates that input for good. Replica forwarders
+// fed from old are detached so its EOS cannot close their replica
+// channels either (one of which out may be); retire then marks the
+// non-adopted ones stale, and repairChannelIns re-binds their consumers.
+func (p *Peer) moveConsumers(t *Task, n *algebra.Node, old stream.Ref, out *stream.Channel) {
+	s := p.sys
+	for _, b := range t.bindings {
+		if b.child == n {
+			p.rebind(t, b, out)
+		}
+	}
+	for _, cp := range s.livePeers() {
+		for _, ct := range sortedTasks(cp) {
+			if ct == t {
+				continue
+			}
+			for _, b := range ct.bindings {
+				if b.src.Ref() != old {
+					continue
+				}
+				cp.rebind(ct, b, out)
+				if b.child.Op == algebra.OpChannelIn && b.child.Channel == old {
+					b.child.Channel = out.Ref()
+				}
+				s.Net.CountTransfer(b.consumerPeer, out.Ref().PeerID, ctrlMsgBytes)
+			}
+		}
+	}
+	s.severForwardersFrom(old)
+}
+
+// retire records out as n's output and retires the channel old: it has
+// no producer anymore, so neither it nor the replicas fed from it (other
+// than an adopted one) is offered as a provider again, even after its
+// host recovers. The replacement is announced under the stream's
+// original identity — which consumers' ChannelIn Origin and published
+// descriptors name — and under old, so repairs and future subscriptions
+// find it across any number of migrations.
+func (s *System) retire(t *Task, n *algebra.Node, old, out stream.Ref) {
+	orig := t.origRef(n)
+	t.refs[n] = out
+	s.markStale(old, out)
+	s.DB.PublishReplica(orig, out) //nolint:errcheck // ring is non-empty here
+	if old != orig {
+		s.DB.PublishReplica(old, out) //nolint:errcheck // same ring
+	}
+	s.Net.CountTransfer(t.Manager, out.PeerID, ctrlMsgBytes)
 }
 
 // redeployPublisher moves a task's publisher fan-out off a dead host.
@@ -834,7 +774,7 @@ func (p *Peer) redeployPublisher(t *Task, n *algebra.Node, dead string, at time.
 		s.markStale(oldNamed.Ref(), named.Ref())
 		s.DB.PublishReplica(oldNamed.Ref(), named.Ref()) //nolint:errcheck // ring is non-empty here
 	}
-	s.link.CountTransfer(t.Manager, newPeer, ctrlMsgBytes)
+	s.Net.CountTransfer(t.Manager, newPeer, ctrlMsgBytes)
 	return FailoverEvent{
 		TaskID: t.ID, Operator: n.Label(), From: dead, To: newPeer, At: at,
 	}, nil
@@ -852,10 +792,6 @@ func (p *Peer) redeployPublisher(t *Task, n *algebra.Node, dead string, at time.
 func (p *Peer) redeployDynAlerter(t *Task, n *algebra.Node, dead string, at time.Duration) (FailoverEvent, error) {
 	s := p.sys
 	oldRef := t.refs[n]
-	origRef, hasOrig := t.origRefs[n]
-	if !hasOrig {
-		origRef = oldRef
-	}
 	newPeer := s.leastLoadedLive(dead)
 	if newPeer == "" {
 		return FailoverEvent{}, fmt.Errorf("no live peer to host %s", n.Label())
@@ -867,12 +803,7 @@ func (p *Peer) redeployDynAlerter(t *Task, n *algebra.Node, dead string, at time
 		// overlap to re-emit.
 		out.SeedSeq(old.Seq())
 	}
-
-	for _, b := range t.bindings {
-		if b.child == n {
-			p.rebind(t, b, out)
-		}
-	}
+	p.moveConsumers(t, n, oldRef, out)
 
 	// Re-subscribe the membership driver from the beginning of its
 	// retained history: p-join/p-leave events replayed in order rebuild
@@ -903,51 +834,55 @@ func (p *Peer) redeployDynAlerter(t *Task, n *algebra.Node, dead string, at time
 	}
 
 	n.Peer = newPeer
-	t.refs[n] = out.Ref()
-	s.markStale(oldRef, out.Ref())
-	s.DB.PublishReplica(origRef, out.Ref()) //nolint:errcheck // ring is non-empty here
-	if oldRef != origRef {
-		s.DB.PublishReplica(oldRef, out.Ref()) //nolint:errcheck // same ring
-	}
-	s.link.CountTransfer(t.Manager, newPeer, ctrlMsgBytes)
+	s.retire(t, n, oldRef, out.Ref())
 	return FailoverEvent{
 		TaskID: t.ID, Operator: n.Label(), From: dead, To: newPeer, At: at,
 	}, nil
 }
 
-// repairChannelIns re-binds the task's subscriptions to channels that
-// lived on the dead peer (reused streams and replicas) onto a live
-// provider of the same original stream.
-func (p *Peer) repairChannelIns(t *Task, dead string, at time.Duration) []FailoverEvent {
+// repairChannelIns re-binds every channel subscription, in every live
+// task, whose channel is not usable — its host is down or its producer
+// migrated — onto a live provider of the same original stream, resuming
+// from the binding's cursor. A channel with no live provider degrades
+// its task; only a loss on the departed peer is reported, earlier ones
+// were reported when they happened.
+func (s *System) repairChannelIns(departed string, at time.Duration) []FailoverEvent {
 	var events []FailoverEvent
-	postorder(t.Plan, func(n *algebra.Node) {
-		if n.Op != algebra.OpChannelIn || n.Channel.PeerID != dead {
-			return
-		}
-		origin := n.Origin
-		if origin == (stream.Ref{}) {
-			origin = n.Channel
-		}
-		repl, viaReplica := p.sys.liveProvider(p.name, origin, dead)
-		if repl == nil {
-			t.degraded = append(t.degraded, "channel "+n.Channel.String())
-			events = append(events, FailoverEvent{
-				TaskID: t.ID, Operator: "∈" + n.Channel.String(), From: dead, At: at,
+	for _, p := range s.livePeers() {
+		for _, t := range sortedTasks(p) {
+			postorder(t.Plan, func(n *algebra.Node) {
+				if n.Op != algebra.OpChannelIn || s.usable(n.Channel) {
+					return
+				}
+				from := n.Channel.PeerID
+				origin := n.Origin
+				if origin == (stream.Ref{}) {
+					origin = n.Channel
+				}
+				repl, viaReplica := s.liveProvider(p.name, origin)
+				if repl == nil {
+					if from == departed {
+						t.degraded = append(t.degraded, "channel "+n.Channel.String())
+						events = append(events, FailoverEvent{
+							TaskID: t.ID, Operator: "∈" + n.Channel.String(), From: from, At: at,
+						})
+					}
+					return
+				}
+				for _, b := range t.bindings {
+					if b.child == n {
+						p.rebind(t, b, repl)
+						s.Net.CountTransfer(b.consumerPeer, repl.Ref().PeerID, ctrlMsgBytes)
+					}
+				}
+				n.Channel = repl.Ref()
+				events = append(events, FailoverEvent{
+					TaskID: t.ID, Operator: "∈" + origin.String(), From: from,
+					To: repl.Ref().PeerID, ViaReplica: viaReplica, At: at,
+				})
 			})
-			return
 		}
-		for _, b := range t.bindings {
-			if b.child == n {
-				p.rebind(t, b, repl)
-				p.sys.link.CountTransfer(b.consumerPeer, repl.Ref().PeerID, ctrlMsgBytes)
-			}
-		}
-		n.Channel = repl.Ref()
-		events = append(events, FailoverEvent{
-			TaskID: t.ID, Operator: "∈" + origin.String(), From: dead,
-			To: repl.Ref().PeerID, ViaReplica: viaReplica, At: at,
-		})
-	})
+	}
 	return events
 }
 
@@ -955,15 +890,15 @@ func (p *Peer) repairChannelIns(t *Task, dead string, at time.Duration) []Failov
 // original channel if its host is up and it still has its producer,
 // else any usable announced replica (including re-deployments
 // registered by redeployOperator, which chain to the origin).
-func (s *System) liveProvider(from string, origin stream.Ref, dead string) (*stream.Channel, bool) {
-	if origin.PeerID != dead && s.usable(origin) {
+func (s *System) liveProvider(from string, origin stream.Ref) (*stream.Channel, bool) {
+	if s.usable(origin) {
 		if ch, ok := s.Channel(origin); ok {
 			return ch, false
 		}
 	}
 	replicas, _, _ := s.DB.Replicas(from, origin)
 	for _, r := range replicas {
-		if r.PeerID == dead || !s.usable(r) {
+		if !s.usable(r) {
 			continue
 		}
 		if ch, ok := s.Channel(r); ok {

@@ -311,7 +311,7 @@ func (g *GossipDetector) Join(name, seed string) error {
 	}
 	// The join contact and the bootstrap transfer are accounted like any
 	// protocol message.
-	g.sys.link.CountTransfer(name, seed, g.opts.ProbeBytes+g.opts.MaxPiggyback*g.opts.PiggybackBytes)
+	g.sys.Net.CountTransfer(name, seed, g.opts.ProbeBytes+g.opts.MaxPiggyback*g.opts.PiggybackBytes)
 	// Outrank every rumor the seed holds about a previous life.
 	if m := sv.members[name]; m != nil && m.inc >= v.inc {
 		v.inc = m.inc + 1

@@ -95,7 +95,7 @@ func TestGroupCheckpointRestoreMidWindow(t *testing.T) {
 		sys.Step(time.Second)
 		if i == 25 { // mid-window: 25s into 10s windows
 			victim := groupHost()
-			evs := sys.FailPeer(victim, sys.Net.Clock().Now())
+			evs := failChecked(t, sys, victim, sys.Net.Clock().Now())
 			repaired := false
 			for _, ev := range evs {
 				repaired = repaired || ev.Repaired()

@@ -19,7 +19,7 @@ func TestJoinPeerDisseminatesViaGossip(t *testing.T) {
 		sys.Step(time.Second)
 	}
 
-	if _, err := sys.JoinPeer("p5", "p0"); err != nil {
+	if _, err := joinChecked(t, sys, "p5", "p0"); err != nil {
 		t.Fatal(err)
 	}
 	// The seed knows the joiner first-hand and the joiner bootstrapped
@@ -67,6 +67,7 @@ func TestJoinSameIDTwice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	assertInvariants(t, sys, everyInterior)
 	for i := 0; i < 15; i++ {
 		sys.Step(time.Second)
 	}
@@ -108,7 +109,7 @@ func TestJoinDuringPartitionThenHeal(t *testing.T) {
 	near := []string{"p0", "p1", "p2"}
 	far := []string{"p3", "p4", "p5"}
 	sys.Net.Partition(near, far)
-	if _, err := sys.JoinPeer("pj", "p0"); err != nil {
+	if _, err := joinChecked(t, sys, "pj", "p0"); err != nil {
 		t.Fatal(err)
 	}
 	// The joiner lands on the seed's side of the split: rumors about it
@@ -166,7 +167,7 @@ func TestDeadPeerRejoinsWithHigherIncarnation(t *testing.T) {
 	}
 	_, incBefore, _ := det.ViewOf("p0", "p3")
 
-	if _, err := sys.JoinPeer("p3", "p0"); err != nil {
+	if _, err := joinChecked(t, sys, "p3", "p0"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30 && len(det.Suspects()) != 0; i++ {
@@ -243,7 +244,7 @@ func TestJoinedPeerBecomesFailoverTarget(t *testing.T) {
 
 	// A fresh worker joins at runtime; then the only original worker
 	// dies. The supervisor must place the relay on the joined peer.
-	if _, err := sys.JoinPeer("w2", "mgr"); err != nil {
+	if _, err := joinChecked(t, sys, "w2", "mgr"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {

@@ -67,7 +67,7 @@ func TestLeavePeerGracefulHandoff(t *testing.T) {
 		t.Fatalf("relay starts at %s, want w0", relayHost(task))
 	}
 
-	evs, err := sys.LeavePeer("w0")
+	evs, err := leaveChecked(t, sys, "w0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestLeavePeerRingHandsOffStore(t *testing.T) {
 	if victim == "" {
 		t.Fatal("no member holds keys")
 	}
-	if _, err := sys.LeavePeer(victim); err != nil {
+	if _, err := leaveChecked(t, sys, victim); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
@@ -153,13 +153,13 @@ func TestLeavePeerErrors(t *testing.T) {
 // clears it without ever firing crash repair.
 func TestLeaveThenRejoin(t *testing.T) {
 	sys, task, sup := leaveWorld(t, true)
-	if _, err := sys.LeavePeer("w1"); err != nil { // idle worker leaves
+	if _, err := leaveChecked(t, sys, "w1"); err != nil { // idle worker leaves
 		t.Fatal(err)
 	}
 	if got := sup.Detector().Suspects(); len(got) != 1 || got[0] != "w1" {
 		t.Fatalf("departed peer not reflected in the aggregate: %v", got)
 	}
-	if _, err := sys.JoinPeer("w1", "mgr"); err != nil {
+	if _, err := joinChecked(t, sys, "w1", "mgr"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12 && len(sup.Detector().Suspects()) > 0; i++ {

@@ -32,7 +32,7 @@ func (p *Peer) subscribeOrdered(ch *stream.Channel, consumerPeer string, cur *st
 	deliver := func(it stream.Item, _ *stream.Queue) {
 		if from != consumerPeer {
 			var ok bool
-			if it, ok = s.link.Deliver(from, consumerPeer, it); !ok {
+			if it, ok = s.Net.Deliver(from, consumerPeer, it); !ok {
 				return
 			}
 		}
@@ -114,7 +114,7 @@ func (p *Peer) resubscribeInput(t *Task, b *inputBinding, ch *stream.Channel, ne
 		t.extQueues = append(t.extQueues, q)
 	}
 	b.sub, b.queue, b.cursor, b.src, b.consumerPeer = sub, q, cur, ch, newPeer
-	s.link.CountTransfer(t.Manager, ch.Ref().PeerID, ctrlMsgBytes)
+	s.Net.CountTransfer(t.Manager, ch.Ref().PeerID, ctrlMsgBytes)
 	return q
 }
 
@@ -448,7 +448,7 @@ func (p *Peer) checkpointTask(t *Task) {
 		// DHT owner and shows up in the traffic counters like any other
 		// monitoring cost.
 		if owner, err := s.Ring.Owner(kadop.CheckpointKey(t.ID, op)); err == nil {
-			s.link.CountTransfer(n.Peer, owner, len(xml))
+			s.Net.CountTransfer(n.Peer, owner, len(xml))
 		}
 	}
 }

@@ -350,7 +350,7 @@ func TestCheckpointRestoresDistinctState(t *testing.T) {
 	sys.Step(time.Second) // a checkpoint capturing the full Distinct memory
 	sys.Step(time.Second)
 
-	events := sys.FailPeer("w1", 0)
+	events := failChecked(t, sys, "w1", 0)
 	repaired := 0
 	for _, e := range events {
 		if e.Repaired() {
@@ -436,7 +436,7 @@ func TestPublisherRedeploysOnHostDeath(t *testing.T) {
 	wantResults(t, sys, task, 3)
 	wantResults(t, sys, t2, 3)
 
-	events := sys.FailPeer("pub", 0)
+	events := failChecked(t, sys, "pub", 0)
 	repaired := 0
 	for _, e := range events {
 		if e.Repaired() {
@@ -514,7 +514,7 @@ func TestDynAlerterDegradesWithoutReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.FailPeer("w1", 0)
+	failChecked(t, sys, "w1", 0)
 	if got := task.Degraded(); len(got) != 1 {
 		t.Fatalf("degraded = %v, want the dyn-alerter manager", got)
 	}
@@ -565,7 +565,7 @@ func TestDynAlerterManagerRedeploysOnHostDeath(t *testing.T) {
 	wantResults(t, sys, task, 1)
 
 	before := task.DynEventsProcessed()
-	events := sys.FailPeer("w1", 0)
+	events := failChecked(t, sys, "w1", 0)
 	repaired := false
 	for _, e := range events {
 		if e.Repaired() && e.To != "" {

@@ -132,36 +132,10 @@ func (p *Peer) splitInterior(t *Task, n *algebra.Node, at time.Duration) (SplitE
 	// and re-home every downstream consumer — this task's and, for shared
 	// interiors, other tasks' — before anything can close.
 	oldRef := t.refs[n]
-	origRef, hasOrig := t.origRefs[n]
-	if !hasOrig {
-		origRef = oldRef
-	}
 	newOut := s.allocChannel(t, n.Peer, s.nextStreamID(n.Peer))
 	newOut.SeedSeq(rec.OutSeq)
 	newOut.SeedBuffer(rec.Tail)
-	for _, b := range t.bindings {
-		if b.child == n {
-			p.rebind(t, b, newOut)
-		}
-	}
-	for _, cp := range s.livePeers() {
-		for _, ct := range sortedTasks(cp) {
-			if ct == t {
-				continue
-			}
-			for _, b := range ct.bindings {
-				if b.src == nil || b.src.Ref() != oldRef {
-					continue
-				}
-				cp.rebind(ct, b, newOut)
-				if b.child != nil && b.child.Op == algebra.OpChannelIn && b.child.Channel == oldRef {
-					b.child.Channel = newOut.Ref()
-				}
-				s.link.CountTransfer(b.consumerPeer, n.Peer, ctrlMsgBytes)
-			}
-		}
-	}
-	s.severForwardersFrom(oldRef)
+	p.moveConsumers(t, n, oldRef, newOut)
 
 	// 4. Start each sub-interior: the moved children's bindings change
 	// consumer and resume from the cut (closing the old instance's
@@ -237,15 +211,7 @@ func (p *Peer) splitInterior(t *Task, n *algebra.Node, at time.Duration) (SplitE
 	h := s.run(proc, queues, operators.ChannelPublish(newOut))
 	t.handles = append(t.handles, h)
 	t.procs[n] = &procInstance{proc: proc, handle: h}
-	t.refs[n] = newOut.Ref()
-	s.markStale(oldRef, newOut.Ref())
-	// Chain the replacement to the stream's original identity so future
-	// subscriptions and repairs find it, like any migration.
-	s.DB.PublishReplica(origRef, newOut.Ref()) //nolint:errcheck // ring is non-empty here
-	if oldRef != origRef {
-		s.DB.PublishReplica(oldRef, newOut.Ref()) //nolint:errcheck // same ring
-	}
-	s.link.CountTransfer(t.Manager, n.Peer, ctrlMsgBytes)
+	s.retire(t, n, oldRef, newOut.Ref())
 
 	// 6. Make the new shape durable now: the pre-split checkpoint's arity
 	// no longer matches, so until this sweep lands a crash would

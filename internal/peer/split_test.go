@@ -68,7 +68,7 @@ func TestSplitInteriorMatchesFlat(t *testing.T) {
 			}
 			fanIn := len(n.Inputs)
 			var err error
-			ev, err = sys.SplitInterior(task, n.AggKey)
+			ev, err = splitChecked(t, sys, task, n.AggKey)
 			if err != nil {
 				t.Fatalf("split: %v", err)
 			}
@@ -123,13 +123,13 @@ func TestSplitThenCrashExactlyOnce(t *testing.T) {
 			if n == nil {
 				t.Fatal("no first-level interior")
 			}
-			if _, err := sys.SplitInterior(task, n.AggKey); err != nil {
+			if _, err := splitChecked(t, sys, task, n.AggKey); err != nil {
 				t.Fatalf("split: %v", err)
 			}
 			victim = n.Peer
 			sys.Net.Crash(victim)
 		case events/2 + 3:
-			evs := sys.FailPeer(victim, sys.Net.Clock().Now())
+			evs := failChecked(t, sys, victim, sys.Net.Clock().Now())
 			repaired := 0
 			for _, ev := range evs {
 				if ev.Repaired() {
@@ -343,7 +343,7 @@ func TestSplitRebalancesTreeWide(t *testing.T) {
 				t.Fatal("no interior host to crash")
 			}
 			sys.Net.Crash(victim)
-			sys.FailPeer(victim, sys.Net.Clock().Now())
+			failChecked(t, sys, victim, sys.Net.Clock().Now())
 		case events/3 + 3:
 			// Recovery alone rebalances nothing: the derived placement
 			// now includes the recovered worker again, so the tree is off
@@ -364,7 +364,7 @@ func TestSplitRebalancesTreeWide(t *testing.T) {
 			if n == nil {
 				t.Fatal("no first-level interior in the tree")
 			}
-			if _, err := sys.SplitInterior(task, n.AggKey); err != nil {
+			if _, err := splitChecked(t, sys, task, n.AggKey); err != nil {
 				t.Fatalf("split: %v", err)
 			}
 			// The invariant: every live interior sits on its DHT-derived

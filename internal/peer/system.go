@@ -21,7 +21,6 @@ import (
 	"p2pm/internal/soap"
 	"p2pm/internal/stream"
 	"p2pm/internal/telemetry"
-	"p2pm/internal/transport"
 	"p2pm/internal/xmltree"
 )
 
@@ -35,13 +34,7 @@ type System struct {
 	cfgMu sync.RWMutex
 	cfg   Config
 
-	Net *simnet.Network
-	// link is the fault-aware delivery seam every data-plane transfer
-	// goes through (transport.Link). It is the same object as Net — the
-	// simulated network satisfies the interface — but call sites that
-	// move items or account bytes use this narrow surface, keeping the
-	// operator data plane portable to other transport substrates.
-	link   transport.Link
+	Net    *simnet.Network
 	Fabric *soap.Fabric
 	Ring   *dht.Ring
 	DB     *kadop.DB
@@ -129,7 +122,6 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:      cfg,
 		Net:      nw,
-		link:     nw,
 		Fabric:   soap.NewFabric(nw),
 		Ring:     ring,
 		DB:       kadop.New(ring),
@@ -253,7 +245,7 @@ func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 		// message on the joiner→seed link. (Gossip mode accounted the
 		// contact and bootstrap transfer inside Join — don't double-
 		// charge the same link.)
-		s.link.CountTransfer(name, seed, ctrlMsgBytes)
+		s.Net.CountTransfer(name, seed, ctrlMsgBytes)
 	}
 	if s.aggDegree() > 1 {
 		// The ring just changed: aggregation-tree interiors whose
@@ -488,7 +480,7 @@ func (s *System) SubscribeChannel(ref stream.Ref, consumerPeer string) (*stream.
 	}
 	var deliver func(stream.Item, *stream.Queue)
 	if ref.PeerID != consumerPeer {
-		deliver = s.link.DeliverHook(ref.PeerID, consumerPeer)
+		deliver = s.Net.DeliverHook(ref.PeerID, consumerPeer)
 	}
 	return ch.Subscribe(consumerPeer, deliver), nil
 }
@@ -537,7 +529,7 @@ func (s *System) AnnounceReplica(orig stream.Ref, consumerPeer string) (stream.R
 				f.cur.Terminate(it)
 				return
 			}
-			if out, ok := s.link.Deliver(orig.PeerID, consumerPeer, it); ok {
+			if out, ok := s.Net.Deliver(orig.PeerID, consumerPeer, it); ok {
 				f.cur.Offer(out)
 			}
 		})
@@ -548,7 +540,7 @@ func (s *System) AnnounceReplica(orig stream.Ref, consumerPeer string) (stream.R
 				rep.Close()
 				return
 			}
-			if out, ok := s.link.Deliver(orig.PeerID, consumerPeer, it); ok {
+			if out, ok := s.Net.Deliver(orig.PeerID, consumerPeer, it); ok {
 				rep.Publish(out)
 			}
 		})

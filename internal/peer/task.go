@@ -78,6 +78,15 @@ type subTarget struct {
 	dest *stream.Queue
 }
 
+// origRef returns the first-deployment identity of n's output stream,
+// which replica records chain to.
+func (t *Task) origRef(n *algebra.Node) stream.Ref {
+	if ref, ok := t.origRefs[n]; ok {
+		return ref
+	}
+	return t.refs[n]
+}
+
 // procInstance tracks one deployed processor (or publisher fan-out): the
 // running Proc and its Handle, so the checkpoint sweep can capture a
 // consistent (state, consumed cursors, output sequence) cut and failover

@@ -9,10 +9,7 @@
 // (docs/TRANSPORT.md; the backend-equivalence tests pin it).
 package transport
 
-import (
-	"p2pm/internal/stream"
-	"p2pm/internal/wire"
-)
+import "p2pm/internal/wire"
 
 // Handler consumes one delivered message. Handlers run synchronously
 // on the delivering goroutine (simnet: the sender; tcp: the
@@ -56,20 +53,4 @@ type Stats struct {
 	Dropped uint64
 	// Reconnects counts re-established outbound connections (tcp only).
 	Reconnects uint64
-}
-
-// Link is the minimal fault-aware item-delivery surface the in-process
-// control plane (internal/peer) needs from its substrate. The concrete
-// simnet.Network satisfies it; peer.System talks to this seam rather
-// than to simnet directly, which is what keeps the deployed-operator
-// data plane portable to other substrates.
-type Link interface {
-	// Deliver ships an item across the from→to link under the fault
-	// model, returning it latency-stamped and whether it arrived.
-	Deliver(from, to string, it stream.Item) (stream.Item, bool)
-	// DeliverHook returns a channel delivery hook routing items across
-	// the from→to link (accounting, latency, faults).
-	DeliverHook(from, to string) func(stream.Item, *stream.Queue)
-	// CountTransfer accounts one control-plane message on a link.
-	CountTransfer(from, to string, bytes int)
 }
